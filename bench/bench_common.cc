@@ -32,9 +32,8 @@ BenchEnv GetBenchEnv() {
       std::clamp<int64_t>(GetEnvInt("NARU_BATCH", 0), 0, 1 << 20));
   const std::string kernel_name = GetEnvString("NARU_KERNEL", "scalar");
   if (!ParseKernelKind(kernel_name, &env.kernel)) {
-    std::fprintf(stderr,
-                 "unknown NARU_KERNEL '%s' (want scalar | simd | simd_int8)\n",
-                 kernel_name.c_str());
+    std::fprintf(stderr, "unknown NARU_KERNEL '%s' (want %s)\n",
+                 kernel_name.c_str(), KernelKindNames().c_str());
     std::exit(2);
   }
   return env;

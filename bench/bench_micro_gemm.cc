@@ -1,5 +1,5 @@
 // Micro-benchmark for the kernel layer (tensor/gemm_simd.cc): GFLOP/s of
-// scalar vs SIMD vs int8 GEMM at the shapes the MADE serving path actually
+// scalar vs SIMD GEMM at the shapes the MADE serving path actually
 // runs, plus the NT head-reuse shape. Single-threaded on purpose
 // (ScopedSerialRegion) so the numbers measure the kernels, not the pool.
 //
@@ -19,14 +19,11 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "bench_common.h"
 #include "tensor/gemm.h"
 #include "tensor/kernel.h"
 #include "tensor/matrix.h"
-#include "tensor/quant.h"
-#include "util/macros.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -94,7 +91,7 @@ double TimeGflops(const Case& cs, double min_seconds, Fn&& fn) {
 int Run() {
   const bool smoke = GetEnvBool("NARU_SMOKE", false);
   const double min_seconds = smoke ? 0.02 : 0.25;
-  PrintBanner("Micro GEMM: scalar vs simd vs simd_int8",
+  PrintBanner("Micro GEMM: scalar vs simd",
               StrFormat("%s; window=%.0fms%s", SimdDispatchString().c_str(),
                         min_seconds * 1e3, smoke ? " (smoke)" : ""));
 
@@ -134,39 +131,28 @@ int Run() {
     const bool nt = std::string(cs.op) == "nt";
     Matrix b(nt ? cs.n : cs.k, nt ? cs.k : cs.n);
     FillRandom(&b, &rng);
-    QuantizedWeights q;
-    if (!nt) QuantizeWeightsPerColumn(b, &q);
 
     Matrix ref, out;
     double scalar_gflops = 0;
-    // Kernel sweep; int8 only exists for the NN weight path.
-    std::vector<std::string> kernels = {"scalar", "simd"};
-    if (!nt) kernels.push_back("simd_int8");
-    for (const std::string& kname : kernels) {
+    for (const KernelKind kernel : {KernelKind::kScalar, KernelKind::kSimd}) {
+      const std::string kname = KernelKindName(kernel);
       double gflops = 0;
-      if (kname == "simd_int8") {
+      if (nt) {
         gflops = TimeGflops(cs, min_seconds,
-                            [&] { GemmNNInt8(a, q, &out, false, hint); });
+                            [&] { GemmNT(a, b, &out, false, kernel); });
       } else {
-        KernelKind kernel = KernelKind::kScalar;
-        NARU_CHECK(ParseKernelKind(kname, &kernel));
-        if (nt) {
-          gflops = TimeGflops(cs, min_seconds,
-                              [&] { GemmNT(a, b, &out, false, kernel); });
-        } else {
-          gflops = TimeGflops(cs, min_seconds, [&] {
-            GemmNN(a, b, &out, false, kernel, hint);
-          });
-        }
+        gflops = TimeGflops(cs, min_seconds, [&] {
+          GemmNN(a, b, &out, false, kernel, hint);
+        });
       }
       double rel_err = 0;
-      if (kname == "scalar") {
+      if (kernel == KernelKind::kScalar) {
         scalar_gflops = gflops;
         ref = out;
       } else {
         rel_err = MaxRelErr(ref, out);
-        // fp32 kernels reassociate only; int8 adds quantization error.
-        const double bound = kname == "simd_int8" ? 5e-2 : 1e-3;
+        // fp32 kernels reassociate only.
+        const double bound = 1e-3;
         if (rel_err > bound) {
           std::printf("FAIL: %s/%s rel err %.3g exceeds %.3g\n", cs.name,
                       kname.c_str(), rel_err, bound);
@@ -174,7 +160,8 @@ int Run() {
         }
       }
       const double speedup = scalar_gflops > 0 ? gflops / scalar_gflops : 0;
-      if (std::string(cs.name) == "made_hidden" && kname == "simd") {
+      if (std::string(cs.name) == "made_hidden" &&
+          kernel == KernelKind::kSimd) {
         made_hidden_simd_speedup = speedup;
       }
       std::printf("%-20s %-10s %10.2f %8.2fx %12.3g\n", cs.name,

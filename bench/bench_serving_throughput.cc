@@ -19,23 +19,21 @@
 // quarter shares CONSTRAINED leading prefixes (identical equality
 // literals on `--serve-shared-prefix` columns, drawn from a few template
 // tuples) — the two structures hierarchical plan trees (src/plan) fuse.
-// Every engine grid point runs as a three-way PLAN ABLATION: legacy
-// (planning off), flat (one-level prefix groups, the pre-tree planner),
-// and tree (hierarchical prefix forking) — so the tree/flat and
-// tree/legacy speedups are measured directly, and every leg must produce
+// Every engine grid point runs as a two-way PLAN ABLATION: legacy
+// (planning off) and tree (hierarchical prefix forking) — so the
+// tree/legacy speedup is measured directly, and both legs must produce
 // bit-identical estimates.
 //
 // A second phase compares inference KERNELS (tensor/kernel.h) at the
-// largest grid point: scalar vs simd vs simd_int8, each with a fresh
-// estimator + engine, reporting qps, q-error quantiles against executed
-// ground truth, and a bit-determinism check across thread counts within
-// each kernel. Emits BENCH_serving_throughput.json (shared schema,
-// row_schema v2: grid rows carry "plan" in {legacy, flat, tree}).
+// largest grid point: scalar vs simd, each with a fresh estimator +
+// engine, reporting qps, q-error quantiles against executed ground truth,
+// and a bit-determinism check across thread counts within each kernel.
+// Emits BENCH_serving_throughput.json (shared schema, row_schema v2: grid
+// rows carry "plan" in {legacy, tree}).
 //
 // Knobs (env or flags, see bench_common.h):
-//   --kernel K          kernel for the GRID phase: scalar|simd|simd_int8
-//                       (default scalar; the kernel phase always runs all
-//                       three)
+//   --kernel K          kernel for the GRID phase: scalar|simd (default
+//                       scalar; the kernel phase always runs both)
 //   --threads N         restrict the engine thread grid to {N}  (default 2/4/8)
 //   --batch N           restrict the batch grid to {N}          (default 1/8/64)
 //   --serve-requests N  trace length                            (default 512)
@@ -49,11 +47,9 @@
 //                       default) or a fixed positive integer
 //   --smoke             CI preset: tiny model/trace, single grid point;
 //                       exits nonzero if any planned leg's estimates
-//                       diverge from the sequential (or legacy) path, if a
-//                       kernel is non-deterministic across thread counts,
-//                       or if int8's median q-error shifts >5% vs fp32
+//                       diverge from the sequential (or legacy) path, or if
+//                       a kernel is non-deterministic across thread counts
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -90,7 +86,7 @@ int Run() {
           : static_cast<size_t>(std::clamp<int64_t>(
                 GetEnvInt("NARU_GROUP_WIDTH", 0), 1, 4096));
   PrintBanner(
-      "Serving throughput: tree vs flat vs legacy engine vs sequential",
+      "Serving throughput: tree vs legacy engine vs sequential",
       StrFormat("rows=%zu requests=%zu unique=%zu samples=%zu "
                 "prefix-wildcards=%zu shared-prefix=%zu group-width=%s "
                 "kernel=%s (%s)%s",
@@ -118,9 +114,9 @@ int Run() {
   wcfg.leading_wildcards = prefix_wildcards;
   wcfg.leading_wildcard_fraction = prefix_wildcards > 0 ? 0.5 : 0.0;
   wcfg.shared_prefix_columns = shared_prefix;
-  // Constrained prefixes are invisible to flat plans (leading-wildcard run
-  // 0), so this fraction is the tree-only share of the trace. Two template
-  // tuples keep each batch's literal groups wide enough to fork-share.
+  // Constrained prefixes have leading-wildcard run 0, so only the trie's
+  // constrained-prefix sharing fuses them. Two template tuples keep each
+  // batch's literal groups wide enough to fork-share.
   wcfg.shared_prefix_fraction = shared_prefix > 0 ? 0.6 : 0.0;
   wcfg.shared_prefix_templates = 2;
   wcfg.seed = env.seed + 17;
@@ -177,9 +173,9 @@ int Run() {
   if (env.threads > 0) thread_grid = {env.threads};
   if (env.batch > 0) batch_grid = {env.batch};
 
-  std::printf("\n%8s %6s %6s %10s %10s %9s %9s %6s %6s %5s %6s\n", "threads",
+  std::printf("\n%8s %6s %6s %10s %10s %9s %9s %6s %6s %5s\n", "threads",
               "batch", "plan", "qps", "speedup", "memo", "sampled", "trees",
-              "share", "depth", "saved");
+              "share", "depth");
 
   // Baseline: the sequential pre-engine path — one thread, one query at a
   // time, no cross-query sharing of any kind.
@@ -195,8 +191,8 @@ int Run() {
     baseline_qps = secs > 0 ? static_cast<double>(trace.size()) / secs : 0.0;
   }
   std::printf(
-      "%8d %6d %6s %10.1f %9.2fx %9s %9zu %6s %6s %5s %6s   (sequential)\n", 1,
-      1, "-", baseline_qps, 1.0, "-", trace.size(), "-", "-", "-", "-");
+      "%8d %6d %6s %10.1f %9.2fx %9s %9zu %6s %6s %5s   (sequential)\n", 1, 1,
+      "-", baseline_qps, 1.0, "-", trace.size(), "-", "-", "-");
 
   BenchJsonWriter json("serving_throughput");
   json.SetConfig("rows", rows);
@@ -208,16 +204,13 @@ int Run() {
   json.SetConfig("row_schema", "v2");
   json.SetConfig("group_width", width_str);
 
-  // One ablation leg per grid point: planning off, flat one-level groups,
-  // or hierarchical trees.
+  // One ablation leg per grid point: planning off, or hierarchical trees.
   struct PlanLeg {
     const char* name;
     bool planned;
-    PlanMode mode;
   };
-  const PlanLeg kLegs[] = {{"legacy", false, PlanMode::kFlat},
-                           {"flat", true, PlanMode::kFlat},
-                           {"tree", true, PlanMode::kTree}};
+  const PlanLeg kLegs[] = {{"legacy", false}, {"tree", true}};
+  const PlanLeg& tree_leg = kLegs[1];
 
   // Runs the whole trace through a fresh engine; returns qps, fills
   // per-request estimates. Every result must come back OK — nothing here
@@ -228,7 +221,6 @@ int Run() {
     InferenceEngineConfig ecfg;
     ecfg.num_threads = threads;
     ecfg.enable_plan = leg.planned;
-    ecfg.plan_mode = leg.mode;
     ecfg.group_width = group_width;
     InferenceEngine engine(ecfg);  // fresh engine: caches start cold
     results->assign(trace.size(), 0.0);
@@ -253,7 +245,6 @@ int Run() {
   };
 
   double headline_tree = 0;    // largest threads x largest batch, trees
-  double headline_flat = 0;    // same point, flat one-level groups
   double headline_legacy = 0;  // same point, planning disabled
   bool all_identical = true;
 
@@ -273,27 +264,14 @@ int Run() {
           if (results != reference) all_identical = false;
         }
         if (threads == thread_grid.back() && batch == batch_grid.back()) {
-          if (!leg.planned) {
-            headline_legacy = qps;
-          } else if (leg.mode == PlanMode::kTree) {
-            headline_tree = qps;
-          } else {
-            headline_flat = qps;
-          }
+          (leg.planned ? headline_tree : headline_legacy) = qps;
         }
 
-        // "saved" = shared column steps beyond what flat one-level groups
-        // would have shared on the same batches.
-        const size_t saved =
-            stats.plan_shared_cols > stats.plan_flat_shared_cols
-                ? stats.plan_shared_cols - stats.plan_flat_shared_cols
-                : 0;
-        std::printf(
-            "%8zu %6zu %6s %10.1f %9.2fx %9zu %9zu %6zu %6.3f %5zu %6zu\n",
-            threads, batch, leg.name, qps,
-            baseline_qps > 0 ? qps / baseline_qps : 0.0, stats.memo_hits,
-            stats.sampled, stats.plan_trees, stats.prefix_share_ratio(),
-            stats.plan_max_depth, saved);
+        std::printf("%8zu %6zu %6s %10.1f %9.2fx %9zu %9zu %6zu %6.3f %5zu\n",
+                    threads, batch, leg.name, qps,
+                    baseline_qps > 0 ? qps / baseline_qps : 0.0,
+                    stats.memo_hits, stats.sampled, stats.plan_trees,
+                    stats.prefix_share_ratio(), stats.plan_max_depth);
         json.AddRow({{"phase", "grid"},
                      {"threads", threads},
                      {"batch", batch},
@@ -307,15 +285,14 @@ int Run() {
 
   std::printf("\nestimates bit-identical across all configurations: %s\n",
               all_identical ? "yes" : "NO (BUG)");
-  if (headline_legacy > 0 && headline_flat > 0 && headline_tree > 0) {
+  if (headline_legacy > 0 && headline_tree > 0) {
     std::printf(
-        "headline: tree vs flat plans at threads=%zu/batch=%zu = %.2fx "
-        "(tree %.2fx, flat %.2fx, legacy %.2fx over sequential)\n",
-        thread_grid.back(), batch_grid.back(), headline_tree / headline_flat,
+        "headline: tree vs legacy at threads=%zu/batch=%zu = %.2fx "
+        "(tree %.2fx, legacy %.2fx over sequential)\n",
+        thread_grid.back(), batch_grid.back(), headline_tree / headline_legacy,
         baseline_qps > 0 ? headline_tree / baseline_qps : 0.0,
-        baseline_qps > 0 ? headline_flat / baseline_qps : 0.0,
         baseline_qps > 0 ? headline_legacy / baseline_qps : 0.0);
-    json.SetConfig("headline_tree_vs_flat", headline_tree / headline_flat);
+    json.SetConfig("headline_tree_vs_legacy", headline_tree / headline_legacy);
   }
 
   // --- Kernel comparison at the largest grid point ---------------------
@@ -335,20 +312,19 @@ int Run() {
   const std::vector<int64_t> pool_cards = ExecuteCounts(table, pool);
 
   bool kernels_ok = true;
-  double scalar_qps = 0, scalar_median = 0, int8_median = 0;
-  for (const KernelKind kernel :
-       {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kSimdInt8}) {
+  double scalar_qps = 0;
+  for (const KernelKind kernel : {KernelKind::kScalar, KernelKind::kSimd}) {
     NaruEstimatorConfig kcfg = ncfg;
     kcfg.kernel = kernel;
     NaruEstimator kest(model.get(), kcfg, model->SizeBytes());
 
     std::vector<double> results, results_alt;
     const double qps =
-        run_trace(&kest, kthreads, kbatch, kLegs[2], &results, nullptr);
+        run_trace(&kest, kthreads, kbatch, tree_leg, &results, nullptr);
     // Determinism contract: a different thread count must not change a
     // single bit of any estimate under the same kernel.
     const size_t alt_threads = kthreads > 2 ? 2 : kthreads + 1;
-    run_trace(&kest, alt_threads, kbatch, kLegs[2], &results_alt, nullptr);
+    run_trace(&kest, alt_threads, kbatch, tree_leg, &results_alt, nullptr);
     const bool deterministic = results == results_alt;
     if (!deterministic) kernels_ok = false;
 
@@ -358,11 +334,7 @@ int Run() {
                       static_cast<double>(pool_cards[trace_tpl[i]])));
     }
     const ErrorQuantiles eq = ComputeErrorQuantiles(qerr);
-    if (kernel == KernelKind::kScalar) {
-      scalar_qps = qps;
-      scalar_median = eq.median;
-    }
-    if (kernel == KernelKind::kSimdInt8) int8_median = eq.median;
+    if (kernel == KernelKind::kScalar) scalar_qps = qps;
     const double speedup = scalar_qps > 0 ? qps / scalar_qps : 0.0;
     std::printf("%-10s %10.1f %8.2fx %9.3f %9.3f %9.3f %6s\n",
                 KernelKindName(kernel), qps, speedup, eq.median, eq.p95,
@@ -378,21 +350,9 @@ int Run() {
                  {"qerr_max", eq.max},
                  {"deterministic_across_threads", deterministic}});
   }
-  // Quantization is allowed to move accuracy, but only barely: the int8
-  // median q-error must stay within 5% of the fp32 one.
-  const double int8_shift =
-      scalar_median > 0 ? std::fabs(int8_median - scalar_median) / scalar_median
-                        : 0.0;
-  std::printf("int8 median q-error shift vs fp32: %.2f%% (bound 5%%)\n",
-              int8_shift * 100.0);
-  json.SetConfig("int8_median_qerr_shift", int8_shift);
   json.Write();
   if (!kernels_ok) {
     std::printf("FAIL: kernel estimates not bit-identical across threads\n");
-  }
-  if (smoke && int8_shift > 0.05) {
-    std::printf("FAIL: int8 q-error shift exceeds 5%%\n");
-    kernels_ok = false;
   }
   return all_identical && kernels_ok ? 0 : 1;
 }

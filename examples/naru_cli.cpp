@@ -123,10 +123,11 @@ int Usage() {
                "host:port [--tenant NAME]\n"
                "    serve flags: --async --max-batch N --max-wait-ms X "
                "--max-pending N --cache-budget-mb N\n"
-               "    estimate/serve: --kernel scalar|simd|simd_int8 "
+               "    estimate/serve: --kernel %s "
                "(inference kernel; default scalar)\n"
                "    trace line prefix: @<ms> arrival, ^high|^low priority, "
-               "~<ms> deadline\n");
+               "~<ms> deadline\n",
+               KernelKindNames().c_str());
   return 2;
 }
 
@@ -165,10 +166,8 @@ KernelKind CliKernel() {
   const std::string name = GetEnvString("NARU_KERNEL", "scalar");
   KernelKind kernel = KernelKind::kScalar;
   if (!ParseKernelKind(name, &kernel)) {
-    std::fprintf(stderr,
-                 "error: unknown --kernel '%s' "
-                 "(want scalar | simd | simd_int8)\n",
-                 name.c_str());
+    std::fprintf(stderr, "error: unknown --kernel '%s' (want %s)\n",
+                 name.c_str(), KernelKindNames().c_str());
     std::exit(2);
   }
   return kernel;

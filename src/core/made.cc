@@ -87,14 +87,6 @@ MadeModel::MadeModel(std::vector<size_t> domains, Config config)
                                                      : InputHint::kDense;
 }
 
-void MadeModel::SetInferenceKernel(KernelKind kernel) {
-  inference_kernel_ = kernel;
-  if (kernel == KernelKind::kSimdInt8) {
-    for (auto& h : hidden_) h.PrepareInt8Inference();
-    for (auto& head : heads_) head.fc->PrepareInt8Inference();
-  }
-}
-
 bool MadeModel::HasSkip(size_t layer) const {
   return config_.residual && layer > 0 &&
          hidden_[layer].in_dim() == hidden_[layer].out_dim();

@@ -82,11 +82,10 @@ class MadeModel : public ConditionalModel, public TrainableModel {
   std::unique_ptr<SamplingSession> StartSession(size_t batch) override;
   bool SupportsConcurrentSampling() const override { return true; }
   /// Switches the inference forward paths (ConditionalDist*, LogProbRows,
-  /// sessions) to `kernel`; training stays scalar. kSimdInt8 (re)quantizes
-  /// every hidden layer and head into int8 panels; the embedding-reuse
-  /// logits GEMM stays fp32 SIMD (the embedding table doubles as an input
-  /// encoder, so it is not quantized).
-  void SetInferenceKernel(KernelKind kernel) override;
+  /// sessions) to `kernel`; training stays scalar.
+  void SetInferenceKernel(KernelKind kernel) override {
+    inference_kernel_ = kernel;
+  }
   KernelKind inference_kernel() const override { return inference_kernel_; }
   /// Sessions route through ConditionalDistWith, a pure function of
   /// (samples, col) — see StackedConditionalDist above.

@@ -116,7 +116,17 @@ void NaruEstimator::EstimateBatch(const std::vector<Query>& queries,
                                   std::vector<double>* out) {
   std::call_once(engine_once_,
                  [this] { engine_ = std::make_unique<InferenceEngine>(); });
-  engine_->EstimateBatch(this, queries, out);
+  std::vector<EstimateRequest> requests;
+  requests.reserve(queries.size());
+  for (const Query& q : queries) requests.emplace_back(q);
+  std::vector<EstimateResult> results;
+  engine_->EstimateBatch(this, requests, &results);
+  // Default options carry no deadline, so nothing sheds: every result is
+  // OK by construction.
+  out->resize(results.size());
+  for (size_t i = 0; i < results.size(); ++i) {
+    (*out)[i] = results[i].estimate;
+  }
 }
 
 }  // namespace naru

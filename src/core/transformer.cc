@@ -323,21 +323,6 @@ std::unique_ptr<SamplingSession> TransformerModel::StartSession(size_t batch) {
   return std::make_unique<TransformerSession>(this);
 }
 
-void TransformerModel::SetInferenceKernel(KernelKind kernel) {
-  inference_kernel_ = kernel;
-  if (kernel != KernelKind::kSimdInt8) return;
-  for (auto& blk : blocks_) {
-    blk.wq.PrepareInt8Inference();
-    blk.wk.PrepareInt8Inference();
-    blk.wv.PrepareInt8Inference();
-    blk.wo.PrepareInt8Inference();
-    blk.ffn.PrepareInt8Inference();
-  }
-  for (auto& h : heads_) {
-    if (h) h->PrepareInt8Inference();
-  }
-}
-
 void TransformerModel::LogProbRows(const IntMatrix& tuples,
                                    std::vector<double>* out_nats) {
   const size_t batch = tuples.rows();

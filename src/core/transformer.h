@@ -99,10 +99,10 @@ class TransformerModel : public ConditionalModel, public TrainableModel {
   void LogProbRows(const IntMatrix& tuples,
                    std::vector<double>* out_nats) override;
   /// Switches inference GEMMs (projections, FFN, untied heads) to `kernel`;
-  /// training stays scalar. kSimdInt8 quantizes those Linears; embedding
-  /// tables (input encoding + tied logits) and the per-head attention math
-  /// stay fp32.
-  void SetInferenceKernel(KernelKind kernel) override;
+  /// training stays scalar.
+  void SetInferenceKernel(KernelKind kernel) override {
+    inference_kernel_ = kernel;
+  }
   KernelKind inference_kernel() const override { return inference_kernel_; }
 
   // --- TrainableModel ---

@@ -18,11 +18,7 @@ MaskedLinear::MaskedLinear(std::string name, size_t in_dim, size_t out_dim,
 void MaskedLinear::Forward(const Matrix& x, Matrix* y, KernelKind kernel,
                            InputHint hint) const {
   // Weights are maintained pre-masked, so the plain GEMM is correct.
-  if (kernel == KernelKind::kSimdInt8 && q8_.valid()) {
-    GemmNNInt8(x, q8_, y, /*accumulate=*/false, hint);
-  } else {
-    GemmNN(x, w_.value, y, /*accumulate=*/false, kernel, hint);
-  }
+  GemmNN(x, w_.value, y, /*accumulate=*/false, kernel, hint);
   AddBiasRows(b_.value, y);
 }
 
@@ -44,10 +40,6 @@ void MaskedLinear::ProjectWeights() {
   const float* m = mask_.data();
   float* w = w_.value.data();
   for (size_t i = 0; i < w_.value.size(); ++i) w[i] *= m[i];
-}
-
-void MaskedLinear::PrepareInt8Inference() {
-  QuantizeWeightsPerColumn(w_.value, &q8_);
 }
 
 }  // namespace naru

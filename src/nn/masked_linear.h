@@ -10,7 +10,7 @@
 #include <string>
 
 #include "nn/parameter.h"
-#include "tensor/quant.h"
+#include "tensor/gemm.h"
 #include "util/random.h"
 
 namespace naru {
@@ -24,9 +24,7 @@ class MaskedLinear {
   size_t in_dim() const { return w_.value.rows(); }
   size_t out_dim() const { return w_.value.cols(); }
 
-  /// Same kernel semantics as Linear::Forward. The int8 panel (when
-  /// prepared) quantizes the pre-masked weights, so masked entries stay
-  /// exactly zero in int8 too.
+  /// Same kernel semantics as Linear::Forward.
   void Forward(const Matrix& x, Matrix* y,
                KernelKind kernel = KernelKind::kScalar,
                InputHint hint = InputHint::kDense) const;
@@ -50,16 +48,10 @@ class MaskedLinear {
   /// (and defensively after optimizer steps in debug builds).
   void ProjectWeights();
 
-  /// (Re)quantizes the current (pre-masked) weights for kSimdInt8 forwards.
-  void PrepareInt8Inference();
-  void ClearInt8Inference() { q8_.Clear(); }
-  const QuantizedWeights& int8_weights() const { return q8_; }
-
  private:
   Parameter w_;
   Parameter b_;
   Matrix mask_;
-  QuantizedWeights q8_;
 };
 
 }  // namespace naru

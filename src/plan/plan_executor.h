@@ -16,7 +16,7 @@
 //      weight sums from the node's block (their walk is complete), and
 //      each child forks off with a private copy of the block and of the
 //      post-segment RNG state. Deeper shared segments then continue —
-//      multi-depth sharing, not the single prefix+fork of the flat plans.
+//      multi-depth sharing.
 //   3. At every column, ONE stacked model evaluation covers every live
 //      branch (the cross-query GEMM fusion; requires
 //      ConditionalModel::SupportsStackedEvaluation), then each branch's

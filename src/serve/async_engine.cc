@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <memory>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -313,33 +312,6 @@ std::future<EstimateResult> AsyncEngine::Submit(
   return result;
 }
 
-std::future<double> AsyncEngine::Submit(NaruEstimator* est, Query query,
-                                        std::function<void(double)> on_complete) {
-  // Adapter over the typed surface: unwrap the estimate, map a non-OK
-  // Status to an exceptional future (the pre-typed contract), and keep
-  // the callback-failure isolation — a throwing callback fails only THIS
-  // submitter's future.
-  auto promise = std::make_shared<std::promise<double>>();
-  std::future<double> result = promise->get_future();
-  Submit(est, EstimateRequest(std::move(query)),
-         [promise, callback = std::move(on_complete)](const EstimateResult& r) {
-           try {
-             if (!r.status.ok()) {
-               throw std::runtime_error(r.status.ToString());
-             }
-             if (callback) callback(r.estimate);
-             promise->set_value(r.estimate);
-           } catch (...) {
-             try {
-               promise->set_exception(std::current_exception());
-             } catch (const std::future_error&) {
-               // value already set before the callback threw
-             }
-           }
-         });
-  return result;
-}
-
 void AsyncEngine::Drain() {
   MutexLock lock(&mu_);
   // Wait until no primary submitted before this call is still
@@ -529,8 +501,7 @@ void AsyncEngine::DispatcherLoop() {
     }
     if (batch_error != nullptr) {
       // Status end to end: an engine-side failure becomes a typed
-      // Internal result on every request of the batch (the legacy double
-      // adapter re-raises it as an exceptional future).
+      // Internal result on every request of the batch.
       out.assign(take, EstimateResult{});
       for (EstimateResult& r : out) {
         r.status = Status::Internal("batch estimation failed");

@@ -41,8 +41,9 @@ Mutex& EnumerationMutexFor(const ConditionalModel* model) {
 std::string MemoPrefix(const NaruEstimatorConfig& cfg, size_t eff_samples) {
   // shard_size is part of the key: the shard layout defines the RNG
   // streams, so two estimators differing only in it produce different
-  // sampled estimates. The kernel is part of the key because simd /
-  // simd_int8 estimates are not bit-identical to scalar ones.
+  // sampled estimates. The kernel is part of the key because simd
+  // estimates are not bit-identical to scalar ones; its enum value is what
+  // is written, so keys stay stable as long as KernelKind values do.
   return StrFormat("%zu|%zu|%llu|%zu|%d|%d|", eff_samples,
                    cfg.enumeration_threshold,
                    static_cast<unsigned long long>(cfg.sampler_seed),
@@ -130,13 +131,8 @@ std::string FormatEngineStats(const EngineStats& stats) {
                                   static_cast<double>(stats.plan_trees),
       stats.prefix_share_ratio(), stats.plan_shared_cols,
       stats.plan_walk_cols);
-  out += StrFormat(
-      "# plan trees: max fork depth %zu, max fanout %zu, shared cols %zu "
-      "vs %zu flat-equivalent (+%zu from multi-depth/constrained sharing)\n",
-      stats.plan_max_depth, stats.plan_max_fanout, stats.plan_shared_cols,
-      stats.plan_flat_shared_cols,
-      stats.plan_shared_cols -
-          std::min(stats.plan_flat_shared_cols, stats.plan_shared_cols));
+  out += StrFormat("# plan trees: max fork depth %zu, max fanout %zu\n",
+                   stats.plan_max_depth, stats.plan_max_fanout);
   out += StrFormat("# workspaces created: %zu\n", stats.workspaces_created);
   if (stats.shed_expired_victims > 0) {
     out += StrFormat(
@@ -171,22 +167,6 @@ void InferenceEngine::ClearCaches() {
 void InferenceEngine::ClearCachesFor(const ConditionalModel* model) {
   MutexLock lock(&mu_);
   caches_.erase(model);
-}
-
-void InferenceEngine::EstimateBatch(NaruEstimator* est,
-                                    const std::vector<Query>& queries,
-                                    std::vector<double>* out) {
-  std::vector<EstimateRequest> requests;
-  requests.reserve(queries.size());
-  for (const Query& q : queries) requests.emplace_back(q);
-  std::vector<EstimateResult> results;
-  EstimateBatch(est, requests, &results);
-  out->resize(results.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    // Default options carry no deadline, so nothing can shed: every
-    // result is OK by construction.
-    (*out)[i] = results[i].estimate;
-  }
 }
 
 void InferenceEngine::EstimateBatch(NaruEstimator* est,
@@ -448,20 +428,6 @@ void InferenceEngine::EstimateMixedBatch(
   }
 }
 
-void InferenceEngine::EstimateMixedBatch(
-    const std::vector<NaruEstimator*>& ests, const std::vector<Query>& queries,
-    std::vector<double>* out) {
-  std::vector<EstimateRequest> requests;
-  requests.reserve(queries.size());
-  for (const Query& q : queries) requests.emplace_back(q);
-  std::vector<EstimateResult> results;
-  EstimateMixedBatch(ests, requests, &results);
-  out->resize(results.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    (*out)[i] = results[i].estimate;
-  }
-}
-
 bool InferenceEngine::ResolveBeforeSampling(
     NaruEstimator* est, const Query& query, const std::string& memo_key,
     CachePolicy cache_policy, std::chrono::steady_clock::time_point deadline,
@@ -636,7 +602,6 @@ void InferenceEngine::EstimatePlanned(
 
   const ProgressiveSamplerConfig& scfg = est->sampler()->config();
   SamplingPlanOptions plan_opts;
-  plan_opts.mode = cfg_.plan_mode;
   // Fork fan-out cap: pinned by config, or auto-tuned so stacked GEMM
   // shapes suit the model's hidden width, the active kernel, and the
   // shard size. Execution-only — the cap can never change an estimate.
@@ -696,7 +661,6 @@ void InferenceEngine::EstimatePlanned(
   ++stats_.plan_batches;
   stats_.plan_trees += plan.trees.size();
   stats_.plan_shared_cols += plan.SharedColumns();
-  stats_.plan_flat_shared_cols += plan.FlatSharedColumns();
   stats_.plan_walk_cols += plan.WalkColumns();
   stats_.plan_max_depth = std::max(stats_.plan_max_depth, plan.MaxForkDepth());
   stats_.plan_max_fanout = std::max(stats_.plan_max_fanout, plan.MaxFanout());

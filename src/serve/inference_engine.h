@@ -16,8 +16,7 @@
 // priority class, cache policy — to EstimateResults carrying the
 // estimate, a Status (DEADLINE_EXCEEDED for shed requests), the Monte
 // Carlo standard error when sampled, a provenance tag, and latency
-// attribution. The legacy double-returning overloads are thin adapters
-// over it and stay bit-identical for default options.
+// attribution.
 //
 // Caches are size-aware LRU maps (serve/lru_cache.h) bounded by a byte
 // budget per model; hit/miss/eviction counters and occupancy are exposed
@@ -71,19 +70,11 @@ struct InferenceEngineConfig {
   /// wrappers); estimates are bit-identical either way, so this is purely
   /// an execution strategy switch (kept as a flag for A/B benchmarking).
   bool enable_plan = true;
-  /// Plan tree shape (plan/sampling_plan.h): hierarchical prefix-forking
-  /// tries with constrained-prefix sharing (default), or the flat PR 3
-  /// single-level leading-wildcard grouping (the legacy/flat/tree
-  /// ablation in bench_serving_throughput). Execution strategy only —
-  /// estimates are bit-identical in either mode, which is why memo keys
-  /// do NOT include it (a result cached under one mode is exactly the
-  /// other mode's answer).
-  PlanMode plan_mode = PlanMode::kTree;
   /// Fork fan-out cap per plan tree: 0 = auto-tuned per batch from the
   /// model's StackedWidthHint, its active inference kernel, and the
   /// sampler's shard size (AutoGroupWidth, plan/sampling_plan.h); a
   /// nonzero N pins the cap (`--group-width auto|N` in the serving
-  /// benches). Execution-only, like plan_mode: never part of memo keys.
+  /// benches). Execution-only: never part of memo keys.
   size_t group_width = 0;
 };
 
@@ -131,13 +122,8 @@ struct EngineStats {
   size_t plan_trees = 0;         ///< plan trees compiled (GEMM-fusion units)
   size_t plan_shared_cols = 0;   ///< per-shard column walks saved by sharing
   size_t plan_walk_cols = 0;     ///< column walks the sequential path runs
-  /// Column walks the flat PR 3 single-level wildcard grouping would have
-  /// saved on the same batches (the compiler computes both);
-  /// plan_shared_cols - plan_flat_shared_cols is what multi-depth forking
-  /// and constrained-prefix sharing added on top.
-  size_t plan_flat_shared_cols = 0;
   /// Deepest fork nesting over all compiled trees (0 = no forks: every
-  /// tree was a single chain; 1 = the flat one-fork shape).
+  /// tree was a single chain; 1 = a single fork level).
   size_t plan_max_depth = 0;
   /// Widest single fork (children at one node) over all compiled trees.
   size_t plan_max_fanout = 0;
@@ -199,10 +185,6 @@ struct EngineStats {
 /// serve` prints on exit and on SIGINT).
 std::string FormatEngineStats(const EngineStats& stats);
 
-/// Pre-LRU name for the stats struct, kept as an alias for existing
-/// callers.
-using InferenceEngineStats = EngineStats;
-
 /// The blocking batch-serving engine. Thread-safe with respect to its own
 /// state; see EstimateBatch for the per-model concurrency contract.
 class InferenceEngine {
@@ -226,23 +208,12 @@ class InferenceEngine {
                      const std::vector<EstimateRequest>& requests,
                      std::vector<EstimateResult>* out);
 
-  /// Legacy adapter: default-option requests, estimates only. Results are
-  /// bit-identical to the typed surface with default EstimateOptions
-  /// (and, transitively, to the sequential path).
-  void EstimateBatch(NaruEstimator* est, const std::vector<Query>& queries,
-                     std::vector<double>* out);
-
   /// Groups a mixed batch by estimator and serves each group batched:
   /// `ests` and `requests` are parallel arrays of equal length, and
   /// (*out)[i] is ests[i]'s result for requests[i].
   void EstimateMixedBatch(const std::vector<NaruEstimator*>& ests,
                           const std::vector<EstimateRequest>& requests,
                           std::vector<EstimateResult>* out);
-
-  /// Legacy adapter over the typed mixed batch.
-  void EstimateMixedBatch(const std::vector<NaruEstimator*>& ests,
-                          const std::vector<Query>& queries,
-                          std::vector<double>* out);
 
   /// Counters plus a point-in-time cache occupancy snapshot.
   EngineStats stats() const;

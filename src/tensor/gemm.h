@@ -8,8 +8,7 @@
 // All support optional accumulation into C (beta = 1).
 //
 // GemmNN and GemmNT take a KernelKind: kScalar runs the original reference
-// loops, kSimd (and kSimdInt8, which only differs at the layer level — see
-// quant.h) runs the cache-blocked SIMD kernels in gemm_simd.cc behind
+// loops, kSimd runs the cache-blocked SIMD kernels in gemm_simd.cc behind
 // runtime CPU dispatch (kernel.h). GemmTN is training-only and stays scalar.
 //
 // Determinism: work is partitioned by output row and each row's reduction

@@ -22,6 +22,9 @@ SimdLevel ProbeSimdLevel() {
 #endif
 }
 
+constexpr KernelKind kAllKernelKinds[] = {KernelKind::kScalar,
+                                          KernelKind::kSimd};
+
 // -1 = no override; otherwise holds a SimdLevel value.
 int g_simd_override = -1;
 
@@ -33,8 +36,6 @@ const char* KernelKindName(KernelKind k) {
       return "scalar";
     case KernelKind::kSimd:
       return "simd";
-    case KernelKind::kSimdInt8:
-      return "simd_int8";
   }
   return "unknown";
 }
@@ -43,16 +44,22 @@ bool ParseKernelKind(const std::string& s, KernelKind* out) {
   std::string lower(s);
   std::transform(lower.begin(), lower.end(), lower.begin(),
                  [](unsigned char c) { return std::tolower(c); });
-  if (lower == "scalar") {
-    *out = KernelKind::kScalar;
-  } else if (lower == "simd") {
-    *out = KernelKind::kSimd;
-  } else if (lower == "simd_int8" || lower == "int8") {
-    *out = KernelKind::kSimdInt8;
-  } else {
-    return false;
+  for (KernelKind k : kAllKernelKinds) {
+    if (lower == KernelKindName(k)) {
+      *out = k;
+      return true;
+    }
   }
-  return true;
+  return false;
+}
+
+std::string KernelKindNames() {
+  std::string names;
+  for (KernelKind k : kAllKernelKinds) {
+    if (!names.empty()) names += " | ";
+    names += KernelKindName(k);
+  }
+  return names;
 }
 
 const char* SimdLevelName(SimdLevel l) {

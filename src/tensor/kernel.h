@@ -1,16 +1,12 @@
 // Kernel selection and runtime CPU dispatch for the tensor layer.
 //
-// The inference path can run on one of three kernel families:
+// The inference path can run on one of two kernel families:
 //   kScalar   — the original ikj loops in gemm.cc; always available, the
 //               correctness reference, and the default (existing bit-identity
 //               tests pin it).
 //   kSimd     — cache-blocked fp32 kernels with explicit SIMD inner loops
 //               (AVX2/FMA on x86, NEON on ARM, portable blocked fallback
 //               elsewhere), selected at runtime via DetectedSimdLevel().
-//   kSimdInt8 — kSimd plus per-output-channel int8 weights on Linear /
-//               MaskedLinear forward passes (fp32 activations and
-//               accumulation); layers without prepared int8 weights fall
-//               back to the fp32 SIMD path.
 //
 // Determinism contract: for a FIXED kernel choice, every GEMM partitions
 // work by output row and keeps a fixed intra-row reduction order, so
@@ -26,18 +22,22 @@
 namespace naru {
 
 /// Which kernel family the forward path uses. Training always uses kScalar.
+/// The numeric values are written into serving memo keys (MemoPrefix in
+/// serve/inference_engine.cc): never renumber them.
 enum class KernelKind : uint8_t {
   kScalar = 0,
   kSimd = 1,
-  kSimdInt8 = 2,
 };
 
-/// "scalar" / "simd" / "simd_int8".
+/// "scalar" / "simd".
 const char* KernelKindName(KernelKind k);
 
-/// Parses "scalar" / "simd" / "simd_int8" (case-insensitive). Returns false
-/// and leaves *out untouched on anything else.
+/// Parses a KernelKindName (case-insensitive). Returns false and leaves *out
+/// untouched on anything else.
 bool ParseKernelKind(const std::string& s, KernelKind* out);
+
+/// The valid KernelKindName values for usage messages: "scalar | simd".
+std::string KernelKindNames();
 
 /// Instruction set the SIMD kernels dispatch to on this machine.
 enum class SimdLevel : uint8_t {

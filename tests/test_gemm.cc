@@ -1,4 +1,4 @@
-// Conformance suite for the kernel layer (gemm_simd.cc, quant.cc):
+// Conformance suite for the kernel layer (gemm_simd.cc, kernel.cc):
 //   - SIMD (native dispatch AND the forced portable fallback) vs the scalar
 //     reference across odd shapes, accumulate on/off, and both transpose
 //     variants, within a tight epsilon (FMA contraction means cross-kernel
@@ -8,22 +8,22 @@
 //     full-batch rows exactly, including across the MR=4/MR=1 seam.
 //   - The one-hot InputHint is exact: hinted and dense runs are bitwise
 //     identical per kernel.
-//   - Int8: quantize→dequantize round trip within half a step, masked zeros
-//     stay exactly zero, and GemmNNInt8 matches the scalar GEMM over the
-//     dequantized weights within epsilon.
+//   - Kernel names: every KernelKindName parses back (case-insensitively)
+//     and retired or unknown names are rejected.
 //   - Matrix storage: 64-byte row alignment, padded stride, the
 //     zero-padding invariant, and the Resize preservation contract.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "tensor/gemm.h"
 #include "tensor/kernel.h"
 #include "tensor/matrix.h"
-#include "tensor/quant.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -251,86 +251,26 @@ TEST(GemmDeterminism, OneHotHintIsExact) {
   }
 }
 
-TEST(Quantize, RoundTripWithinHalfStep) {
-  Rng rng(23);
-  Matrix w = RandomMatrix(47, 29, &rng);
-  // A masked column and a masked block, as MADE weights have.
-  for (size_t i = 0; i < w.rows(); ++i) w.At(i, 3) = 0.0f;
-  for (size_t i = 0; i < 10; ++i) {
-    for (size_t j = 20; j < 29; ++j) w.At(i, j) = 0.0f;
-  }
-  QuantizedWeights q;
-  QuantizeWeightsPerColumn(w, &q);
-  EXPECT_EQ(q.rows, w.rows());
-  EXPECT_EQ(q.cols, w.cols());
-  EXPECT_EQ(q.stride, PaddedStride(w.cols()));
-  EXPECT_EQ(q.scales[3], 0.0f);  // all-zero column
-
-  Matrix dq;
-  DequantizeWeights(q, &dq);
-  for (size_t i = 0; i < w.rows(); ++i) {
-    for (size_t j = 0; j < w.cols(); ++j) {
-      const float scale = q.scales[j];
-      // Symmetric round-to-nearest: at most half a quantization step off
-      // (plus fp slack).
-      EXPECT_NEAR(w.At(i, j), dq.At(i, j), 0.5f * scale + 1e-6f)
-          << "at (" << i << ", " << j << ")";
-      // Exact zeros stay exact (masking invariant).
-      if (w.At(i, j) == 0.0f) EXPECT_EQ(dq.At(i, j), 0.0f);
+TEST(KernelKindNames, EveryNameRoundTripsCaseInsensitively) {
+  for (const KernelKind kernel : {KernelKind::kScalar, KernelKind::kSimd}) {
+    const std::string name = KernelKindName(kernel);
+    std::string upper = name;
+    for (char& c : upper) c = static_cast<char>(std::toupper(c));
+    for (const std::string& spelling : {name, upper}) {
+      KernelKind parsed = kernel == KernelKind::kScalar ? KernelKind::kSimd
+                                                        : KernelKind::kScalar;
+      ASSERT_TRUE(ParseKernelKind(spelling, &parsed)) << spelling;
+      EXPECT_EQ(parsed, kernel) << spelling;
     }
   }
+  EXPECT_EQ(KernelKindNames(), "scalar | simd");
 }
 
-void CheckInt8MatchesDequantReference() {
-  Rng rng(29);
-  for (const Shape& s : kShapes) {
-    const Matrix a = RandomMatrix(s.m, s.k, &rng);
-    const Matrix w = RandomMatrix(s.k, s.n, &rng);
-    QuantizedWeights q;
-    QuantizeWeightsPerColumn(w, &q);
-    Matrix dq;
-    DequantizeWeights(q, &dq);
-    Matrix ref;
-    GemmNN(a, dq, &ref, false, KernelKind::kScalar);
-    Matrix got;
-    GemmNNInt8(a, q, &got);
-    // Same math, different association (scale distributed vs applied
-    // last): epsilon-bounded, scaled to the reduction length.
-    const double tol = 1e-4 * std::sqrt(static_cast<double>(s.k)) + 1e-5;
-    ExpectNear(ref, got, tol);
-  }
-}
-
-TEST(GemmInt8, MatchesDequantizedScalarReference) {
-  CheckInt8MatchesDequantReference();
-}
-
-TEST(GemmInt8, PortableFallbackMatchesReference) {
-  ScopedSimdLevel force(SimdLevel::kNone);
-  CheckInt8MatchesDequantReference();
-}
-
-TEST(GemmInt8, RowPartitionsDeterministic) {
-  Rng rng(31);
-  const size_t m = 19, k = 45, n = 26;
-  const Matrix a = RandomMatrix(m, k, &rng);
-  const Matrix w = RandomMatrix(k, n, &rng);
-  QuantizedWeights q;
-  QuantizeWeightsPerColumn(w, &q);
-  Matrix full;
-  GemmNNInt8(a, q, &full);
-  for (const size_t sub : {1ul, 5ul, 18ul}) {
-    Matrix asub(sub, k);
-    for (size_t i = 0; i < sub; ++i) {
-      std::memcpy(asub.Row(i), a.Row(i), k * sizeof(float));
-    }
-    Matrix csub;
-    GemmNNInt8(asub, q, &csub);
-    for (size_t i = 0; i < sub; ++i) {
-      ASSERT_EQ(0,
-                std::memcmp(full.Row(i), csub.Row(i), n * sizeof(float)))
-          << "sub " << sub << " row " << i;
-    }
+TEST(KernelKindNames, RejectsUnknownNamesAndLeavesOutputUntouched) {
+  for (const char* bad : {"simd_int8", "int8", "", "simd ", "avx2"}) {
+    KernelKind out = KernelKind::kSimd;
+    EXPECT_FALSE(ParseKernelKind(bad, &out)) << "'" << bad << "'";
+    EXPECT_EQ(out, KernelKind::kSimd) << "'" << bad << "'";
   }
 }
 

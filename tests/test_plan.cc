@@ -1,6 +1,6 @@
 // Tests for the sampling-plan layer (src/plan): plan compilation (prefix
 // tries with multi-depth forking, constrained-prefix sharing, width
-// capping, the flat PR 3 mode) and plan execution (shared segment walks,
+// capping) and plan execution (shared segment walks,
 // forked suffix walks, stacked GEMMs). The oracle throughout is
 // bit-identity with the sequential ProgressiveSampler for a fixed seed —
 // across shard sizes, tree shapes, kernels, and thread counts.
@@ -92,50 +92,6 @@ TEST(Query, WildcardMaskAndLeadingRun) {
             2u);
 }
 
-TEST(SamplingPlan, FlatModeGroupsByLeadingWildcardRun) {
-  Table t = PlanTable(5);
-  auto model = PlanModel(t, 5);
-  // Runs: 3, 3, 0, 2, 2 — the PR 3 savings-maximizing partition merges all
-  // four wildcard-led queries into ONE group at prefix 2 (savings 2·3 = 6,
-  // beating {3,3}+{2,2} = 5) and isolates the run-0 query. In kFlat mode
-  // each group is a depth-1 tree: a [0, prefix) root plus one leaf per
-  // member.
-  const std::vector<Query> queries = {
-      QueryOn(t, {3, 4}), QueryOn(t, {3, 5}), QueryOn(t, {0, 2}),
-      QueryOn(t, {2, 3}), QueryOn(t, {2, 5})};
-  std::vector<const Query*> ptrs;
-  for (const auto& q : queries) ptrs.push_back(&q);
-
-  SamplingPlanOptions opts;
-  opts.mode = PlanMode::kFlat;
-  const SamplingPlan plan = CompileSamplingPlan(model.get(), ptrs, opts);
-  ASSERT_EQ(plan.queries.size(), 5u);
-  EXPECT_EQ(plan.queries[0].wildcard_run, 3u);
-  EXPECT_EQ(plan.queries[2].wildcard_run, 0u);
-  EXPECT_EQ(plan.queries[3].wildcard_run, 2u);
-  EXPECT_EQ(plan.queries[0].last_col, 4);
-
-  ASSERT_EQ(plan.trees.size(), 2u);
-  EXPECT_EQ(plan.SharedColumns(), 6u);  // prefix 2 shared by 4 queries
-  EXPECT_EQ(plan.FlatSharedColumns(), 6u);  // flat mode IS the flat bound
-  size_t grouped = 0;
-  for (const auto& tree : plan.trees) {
-    grouped += tree.members.size();
-    EXPECT_LE(tree.fork_depth, 1u);  // flat trees fork at most once
-    if (tree.members.size() > 1) {
-      // The shared root never exceeds any member's wildcard run.
-      const PlanTreeNode& root = tree.nodes[0];
-      for (size_t m : tree.members) {
-        EXPECT_LE(root.end, plan.queries[m].wildcard_run);
-      }
-      EXPECT_EQ(root.end, 2u);
-      EXPECT_EQ(tree.max_fanout, tree.members.size());
-    }
-  }
-  EXPECT_EQ(grouped, 5u);
-  EXPECT_GT(plan.PrefixShareRatio(), 0.0);
-}
-
 // Hand-checked trie construction: multi-depth forking plus constrained-
 // prefix sharing. Queries (constrained columns, Interval [1,2] each):
 //   q0 {3,4}  q1 {3,5}  q2 {0,2}  q3 {2,3}  q4 {2,5}
@@ -146,7 +102,6 @@ TEST(SamplingPlan, FlatModeGroupsByLeadingWildcardRun) {
 // wildcard. q0/q1 then share [2,4) — column 3 constrained the same way —
 // and fork at column 4. Savings, per shard:
 //   [0,2)·(4-1) = 6,  [2,4)·(2-1) = 2,  q3/q4 [2,3)·(2-1) = 1   → 9
-// versus the flat single-level bound of 6 (one group of four at prefix 2).
 TEST(SamplingPlan, TrieSharesMultiDepthAndConstrainedPrefixes) {
   Table t = PlanTable(5);
   auto model = PlanModel(t, 5);
@@ -160,9 +115,9 @@ TEST(SamplingPlan, TrieSharesMultiDepthAndConstrainedPrefixes) {
   ASSERT_EQ(plan.trees.size(), 1u);  // everything under the default cap
   const PlanTree& tree = plan.trees[0];
   EXPECT_EQ(tree.members.size(), 5u);
+  EXPECT_EQ(plan.queries[0].last_col, 4);
   EXPECT_EQ(plan.WalkColumns(), 24u);    // 5 + 6 + 3 + 4 + 6
   EXPECT_EQ(plan.SharedColumns(), 9u);   // hand-checked above
-  EXPECT_EQ(plan.FlatSharedColumns(), 6u);
   EXPECT_EQ(plan.MaxForkDepth(), 3u);  // root -> [0,2) -> [2,4) -> leaves
   EXPECT_EQ(plan.MaxFanout(), 2u);
 
@@ -180,29 +135,6 @@ TEST(SamplingPlan, TrieSharesMultiDepthAndConstrainedPrefixes) {
     }
   }
   EXPECT_EQ(seen.size(), 5u);
-}
-
-TEST(SamplingPlan, GroupWidthCapSplitsFlatGroupsEvenly) {
-  Table t = PlanTable(7);
-  auto model = PlanModel(t, 7);
-  std::vector<Query> queries;
-  for (size_t i = 0; i < 10; ++i) queries.push_back(QueryOn(t, {2, 3 + i % 3}));
-  std::vector<const Query*> ptrs;
-  for (const auto& q : queries) ptrs.push_back(&q);
-
-  SamplingPlanOptions opts;
-  opts.mode = PlanMode::kFlat;
-  opts.max_group_width = 4;
-  const SamplingPlan plan = CompileSamplingPlan(model.get(), ptrs, opts);
-  size_t grouped = 0;
-  for (const auto& tree : plan.trees) {
-    EXPECT_LE(tree.members.size(), 4u);
-    ASSERT_GE(tree.nodes.size(), 1u);
-    EXPECT_EQ(tree.nodes[0].end, 2u);  // every piece keeps the shared prefix
-    grouped += tree.members.size();
-  }
-  EXPECT_EQ(grouped, 10u);
-  EXPECT_EQ(plan.trees.size(), 3u);  // 10 into pieces of <= 4
 }
 
 TEST(SamplingPlan, TreeModeWidthCapSplitsAtForkPoints) {
@@ -241,12 +173,9 @@ TEST(SamplingPlan, AutoGroupWidthScalesWithKernelAndModelWidth) {
   EXPECT_EQ(AutoGroupWidth(0, KernelKind::kSimd, 128), 32u);
   EXPECT_GT(AutoGroupWidth(128, KernelKind::kSimd, 128),
             AutoGroupWidth(128, KernelKind::kScalar, 128));
-  EXPECT_GE(AutoGroupWidth(64, KernelKind::kSimdInt8, 128),
-            AutoGroupWidth(64, KernelKind::kSimd, 128));
   EXPECT_LE(AutoGroupWidth(1024, KernelKind::kSimd, 128),
             AutoGroupWidth(128, KernelKind::kSimd, 128));
-  for (const KernelKind k :
-       {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kSimdInt8}) {
+  for (const KernelKind k : {KernelKind::kScalar, KernelKind::kSimd}) {
     for (const size_t hint : {size_t{0}, size_t{24}, size_t{256},
                               size_t{4096}}) {
       const size_t w = AutoGroupWidth(hint, k, 128);
@@ -338,14 +267,14 @@ TEST(MadeModel, StackedRowsEvaluateBitIdentically) {
 // The heart of the refactor: for randomized batches with mixed
 // leading-wildcard runs AND shared constrained prefixes, planned execution
 // is bit-identical to the sequential per-query sampler — across shard
-// sizes, plan modes, tree shapes (the width cap changes fork depths and
+// sizes, tree shapes (the width cap changes fork depths and
 // fanouts), and thread counts (estimates AND standard errors).
 TEST(PlanExecutor, BitIdenticalToSequentialSampler) {
   Table t = PlanTable(11);
   auto model = PlanModel(t, 11);
   std::vector<Query> queries = MixedRunBatch(t, 24, 3, 131);
   // Shared-constrained-prefix pairs: identical leading equality literals,
-  // diverging suffixes (the sharing flat plans cannot express).
+  // diverging suffixes (constrained-prefix sharing).
   queries.push_back(QueryOn(t, {0, 1, 3}));
   queries.push_back(QueryOn(t, {0, 1, 4}));
   queries.push_back(QueryOn(t, {0, 1, 5}));
@@ -367,29 +296,24 @@ TEST(PlanExecutor, BitIdenticalToSequentialSampler) {
       want_se.push_back(se);
     }
 
-    for (const PlanMode mode : {PlanMode::kTree, PlanMode::kFlat}) {
-      for (const size_t group_width : {size_t{1}, size_t{3}, size_t{32}}) {
-        SamplingPlanOptions popts;
-        popts.mode = mode;
-        popts.max_group_width = group_width;
-        const SamplingPlan plan =
-            CompileSamplingPlan(model.get(), ptrs, popts);
-        for (const size_t parallelism : {size_t{1}, size_t{0}}) {
-          PlanExecutionOptions opts;
-          opts.num_samples = 300;
-          opts.shard_size = shard_size;
-          opts.seed = 17;
-          opts.parallelism = parallelism;
-          std::vector<double> got, got_se;
-          ExecuteSamplingPlan(model.get(), plan, opts, &got, &got_se);
-          ASSERT_EQ(got.size(), queries.size());
-          for (size_t i = 0; i < queries.size(); ++i) {
-            EXPECT_EQ(got[i], want[i])
-                << "mode " << (mode == PlanMode::kTree ? "tree" : "flat")
-                << " shard " << shard_size << " width " << group_width
-                << " parallelism " << parallelism << " query " << i;
-            EXPECT_EQ(got_se[i], want_se[i]) << "stderr, query " << i;
-          }
+    for (const size_t group_width : {size_t{1}, size_t{3}, size_t{32}}) {
+      SamplingPlanOptions popts;
+      popts.max_group_width = group_width;
+      const SamplingPlan plan = CompileSamplingPlan(model.get(), ptrs, popts);
+      for (const size_t parallelism : {size_t{1}, size_t{0}}) {
+        PlanExecutionOptions opts;
+        opts.num_samples = 300;
+        opts.shard_size = shard_size;
+        opts.seed = 17;
+        opts.parallelism = parallelism;
+        std::vector<double> got, got_se;
+        ExecuteSamplingPlan(model.get(), plan, opts, &got, &got_se);
+        ASSERT_EQ(got.size(), queries.size());
+        for (size_t i = 0; i < queries.size(); ++i) {
+          EXPECT_EQ(got[i], want[i])
+              << "shard " << shard_size << " width " << group_width
+              << " parallelism " << parallelism << " query " << i;
+          EXPECT_EQ(got_se[i], want_se[i]) << "stderr, query " << i;
         }
       }
     }
@@ -408,8 +332,7 @@ TEST(PlanExecutor, BitIdenticalToSequentialAcrossKernels) {
   std::vector<const Query*> ptrs;
   for (const auto& q : queries) ptrs.push_back(&q);
 
-  for (const KernelKind kernel :
-       {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kSimdInt8}) {
+  for (const KernelKind kernel : {KernelKind::kScalar, KernelKind::kSimd}) {
     model->SetInferenceKernel(kernel);
 
     ProgressiveSamplerConfig scfg;

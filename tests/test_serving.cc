@@ -49,6 +49,36 @@ std::unique_ptr<MadeModel> SmallTrainedModel(const Table& table,
   return model;
 }
 
+// Serves `queries` through the typed surface with default options and
+// unwraps the estimates. Default options carry no deadline, so every
+// result must be OK.
+void ServeDefault(InferenceEngine* engine, NaruEstimator* est,
+                  const std::vector<Query>& queries, std::vector<double>* out) {
+  std::vector<EstimateRequest> requests(queries.begin(), queries.end());
+  std::vector<EstimateResult> results;
+  engine->EstimateBatch(est, requests, &results);
+  out->clear();
+  for (const EstimateResult& r : results) {
+    EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+    out->push_back(r.estimate);
+  }
+}
+
+// ServeDefault over a mixed batch: ests[i] serves queries[i].
+void ServeMixedDefault(InferenceEngine* engine,
+                       const std::vector<NaruEstimator*>& ests,
+                       const std::vector<Query>& queries,
+                       std::vector<double>* out) {
+  std::vector<EstimateRequest> requests(queries.begin(), queries.end());
+  std::vector<EstimateResult> results;
+  engine->EstimateMixedBatch(ests, requests, &results);
+  out->clear();
+  for (const EstimateResult& r : results) {
+    EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+    out->push_back(r.estimate);
+  }
+}
+
 // A serving workload exercising every engine path: sampled walks,
 // trailing-wildcard exits, leading-only marginals, empty regions and
 // duplicates.
@@ -114,7 +144,7 @@ TEST(InferenceEngine, BatchMatchesSequentialBitForBit) {
   // Through an explicit engine...
   InferenceEngine engine(InferenceEngineConfig{.num_threads = 3});
   std::vector<double> batched;
-  engine.EstimateBatch(&est, queries, &batched);
+  ServeDefault(&engine, &est, queries, &batched);
   ASSERT_EQ(batched.size(), sequential.size());
   for (size_t i = 0; i < sequential.size(); ++i) {
     EXPECT_EQ(batched[i], sequential[i]) << "query " << i;
@@ -145,7 +175,7 @@ TEST(InferenceEngine, ThreadCountInvariance) {
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     InferenceEngine engine(InferenceEngineConfig{.num_threads = threads});
     std::vector<double> out;
-    engine.EstimateBatch(&est, queries, &out);
+    ServeDefault(&engine, &est, queries, &out);
     results.push_back(std::move(out));
   }
   for (size_t k = 1; k < results.size(); ++k) {
@@ -173,9 +203,9 @@ TEST(InferenceEngine, WorkspaceReuseDoesNotLeakAcrossBatches) {
   InferenceEngine engine(ecfg);
 
   std::vector<double> first_a, b_out, second_a;
-  engine.EstimateBatch(&est, batch_a, &first_a);
-  engine.EstimateBatch(&est, batch_b, &b_out);
-  engine.EstimateBatch(&est, batch_a, &second_a);
+  ServeDefault(&engine, &est, batch_a, &first_a);
+  ServeDefault(&engine, &est, batch_b, &b_out);
+  ServeDefault(&engine, &est, batch_a, &second_a);
   EXPECT_EQ(second_a, first_a);
 
   NaruEstimator fresh(model.get(), ncfg, 0);
@@ -203,9 +233,9 @@ TEST(InferenceEngine, CacheHitsAreExactAndCounted) {
 
   InferenceEngine engine(InferenceEngineConfig{.num_threads = 1});
   std::vector<double> first, second;
-  engine.EstimateBatch(&est, queries, &first);
+  ServeDefault(&engine, &est, queries, &first);
   const auto cold = engine.stats();
-  engine.EstimateBatch(&est, queries, &second);
+  ServeDefault(&engine, &est, queries, &second);
   const auto warm = engine.stats();
 
   EXPECT_EQ(second, first);
@@ -242,9 +272,9 @@ TEST(InferenceEngine, LruEvictionNeverChangesAnEstimate) {
   InferenceEngine tiny(ecfg);
 
   std::vector<double> first, second, third;
-  tiny.EstimateBatch(&est, queries, &first);
-  tiny.EstimateBatch(&est, queries, &second);
-  tiny.EstimateBatch(&est, queries, &third);
+  ServeDefault(&tiny, &est, queries, &first);
+  ServeDefault(&tiny, &est, queries, &second);
+  ServeDefault(&tiny, &est, queries, &third);
   EXPECT_EQ(second, first);
   EXPECT_EQ(third, first);
 
@@ -252,7 +282,7 @@ TEST(InferenceEngine, LruEvictionNeverChangesAnEstimate) {
   // an evicted entry recomputes to the identical value.
   InferenceEngine roomy(InferenceEngineConfig{.num_threads = 2});
   std::vector<double> cached;
-  roomy.EstimateBatch(&est, queries, &cached);
+  ServeDefault(&roomy, &est, queries, &cached);
   EXPECT_EQ(cached, first);
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(first[i], est.EstimateSelectivity(queries[i])) << "query " << i;
@@ -284,7 +314,7 @@ TEST(InferenceEngine, CoalescingAndMemoShareOneKeyedPass) {
 
   InferenceEngine engine(InferenceEngineConfig{.num_threads = 2});
   std::vector<double> out;
-  engine.EstimateBatch(&est, queries, &out);
+  ServeDefault(&engine, &est, queries, &out);
   const auto cold = engine.stats();
 
   // Every computed distinct query consulted the memo exactly once and
@@ -296,7 +326,7 @@ TEST(InferenceEngine, CoalescingAndMemoShareOneKeyedPass) {
   // The workload carries duplicates; none of them reached the cache.
   EXPECT_LT(cold.memo_misses + 1, queries.size());
 
-  engine.EstimateBatch(&est, queries, &out);
+  ServeDefault(&engine, &est, queries, &out);
   const auto warm = engine.stats();
   EXPECT_EQ(warm.memo_misses, cold.memo_misses);  // warm pass misses nothing
   EXPECT_EQ(warm.memo_hits, cold.memo_misses);    // and hits every miss
@@ -321,7 +351,7 @@ TEST(InferenceEngine, MixedBatchGroupsByEstimator) {
 
   InferenceEngine engine(InferenceEngineConfig{.num_threads = 2});
   std::vector<double> mixed;
-  engine.EstimateMixedBatch(ests, queries, &mixed);
+  ServeMixedDefault(&engine, ests, queries, &mixed);
 
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(mixed[i], ests[i]->EstimateSelectivity(queries[i]))
@@ -344,8 +374,8 @@ TEST(InferenceEngine, EstimatorsSharingOneModelDoNotShareMemoEntries) {
   const auto queries = ServingQueries(table, 47);
   InferenceEngine engine(InferenceEngineConfig{.num_threads = 2});
   std::vector<double> small_out, big_out;
-  engine.EstimateBatch(&small_est, queries, &small_out);
-  engine.EstimateBatch(&big_est, queries, &big_out);
+  ServeDefault(&engine, &small_est, queries, &small_out);
+  ServeDefault(&engine, &big_est, queries, &big_out);
 
   // The second batch must not inherit the first estimator's memoized
   // sampled values — it uses a different path count over the same model.
@@ -395,7 +425,7 @@ TEST(InferenceEngine, PrefixSharingBitIdenticalAcrossThreadsAndShards) {
       ecfg.num_threads = threads;
       InferenceEngine engine(ecfg);
       std::vector<double> batched;
-      engine.EstimateBatch(&est, queries, &batched);
+      ServeDefault(&engine, &est, queries, &batched);
       EXPECT_EQ(batched, sequential)
           << "threads " << threads << " shard " << shard_size;
 
@@ -438,7 +468,7 @@ TEST(InferenceEngine, PlanLayoutAndPlanDisableAreResultInvariant) {
   planned_cfg.enable_cache = false;
   InferenceEngine planned(planned_cfg);
   std::vector<double> whole;
-  planned.EstimateBatch(&est, queries, &whole);
+  ServeDefault(&planned, &est, queries, &whole);
   EXPECT_GT(planned.stats().plan_batches, 0u);
 
   // Same queries in chunks of 5: different plans, same results.
@@ -448,7 +478,7 @@ TEST(InferenceEngine, PlanLayoutAndPlanDisableAreResultInvariant) {
     std::vector<Query> chunk(queries.begin() + static_cast<ptrdiff_t>(lo),
                              queries.begin() + static_cast<ptrdiff_t>(hi));
     std::vector<double> out;
-    planned.EstimateBatch(&est, chunk, &out);
+    ServeDefault(&planned, &est, chunk, &out);
     for (size_t i = lo; i < hi; ++i) chunked[i] = out[i - lo];
   }
   EXPECT_EQ(chunked, whole);
@@ -458,15 +488,15 @@ TEST(InferenceEngine, PlanLayoutAndPlanDisableAreResultInvariant) {
   legacy_cfg.enable_plan = false;
   InferenceEngine legacy(legacy_cfg);
   std::vector<double> unplanned;
-  legacy.EstimateBatch(&est, queries, &unplanned);
+  ServeDefault(&legacy, &est, queries, &unplanned);
   EXPECT_EQ(unplanned, whole);
   EXPECT_EQ(legacy.stats().plan_batches, 0u);
   EXPECT_EQ(legacy.stats().planned_queries, 0u);
 }
 
-// Tentpole of the typed-API redesign: the legacy double-returning
-// surfaces are thin adapters over EstimateRequest/EstimateResult, so for
-// default options all three — typed, legacy, sequential — must agree
+// Tentpole of the typed-API redesign: the estimator's double-returning
+// EstimateBatch is a thin adapter over EstimateRequest/EstimateResult, so
+// for default options all three — typed, legacy, sequential — must agree
 // bit-for-bit, and typed results must carry status/provenance/latency.
 TEST(InferenceEngine, TypedDefaultRequestsMatchLegacyDoubleApi) {
   Table table = SmallTable(53);
@@ -493,9 +523,8 @@ TEST(InferenceEngine, TypedDefaultRequestsMatchLegacyDoubleApi) {
   std::vector<EstimateResult> results;
   typed_engine.EstimateBatch(&est, requests, &results);
 
-  InferenceEngine legacy_engine(InferenceEngineConfig{.num_threads = 3});
   std::vector<double> legacy;
-  legacy_engine.EstimateBatch(&est, queries, &legacy);
+  est.EstimateBatch(queries, &legacy);
 
   ASSERT_EQ(results.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -772,7 +801,7 @@ TEST(InferenceEngine, OracleModelServesConcurrently) {
   }
   InferenceEngine engine(InferenceEngineConfig{.num_threads = 4});
   std::vector<double> batched;
-  engine.EstimateBatch(&est, queries, &batched);
+  ServeDefault(&engine, &est, queries, &batched);
   EXPECT_EQ(batched, sequential);
 }
 
