@@ -138,10 +138,13 @@ class ConditionalModel {
   /// separately. This is the contract the sampling-plan executor
   /// (src/plan) relies on for both prefix forking (resume a walk at column
   /// L through a fresh session) and cross-query GEMM fusion (one stacked
-  /// forward pass for a plan tree's whole frontier). Feed-forward models whose
-  /// sessions recompute from the prefix (MADE) declare this; models with
-  /// incremental per-session state (the Oracle's shrinking row lists) must
-  /// not.
+  /// forward pass for a plan tree's whole frontier). Models whose sessions
+  /// recompute from the prefix (the transformer) declare this, and so may
+  /// sessions that reuse per-row state as long as every reuse is keyed by
+  /// and verified against the row's prefix codes (MADE caches its hidden
+  /// units that way, so relayouts only cost cache misses). Models whose
+  /// session state is not recoverable from the prefix (the Oracle's
+  /// shrinking row lists) must not.
   virtual bool SupportsStackedEvaluation() const { return false; }
 
   /// Dominant GEMM inner width of the stacked inference path (the widest

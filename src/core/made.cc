@@ -1,6 +1,8 @@
 #include "core/made.h"
 
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include "nn/loss.h"
 #include "nn/serialize.h"
@@ -43,7 +45,6 @@ MadeModel::MadeModel(std::vector<size_t> domains, Config config)
   // Hidden degrees cycle over {0 .. n-2}: degree d = "sees columns <= d".
   const int max_deg = n >= 2 ? static_cast<int>(n) - 1 : 1;
   std::vector<int> prev_deg = input_degrees_;
-  bool prev_is_input = true;
   for (size_t l = 0; l < config_.hidden_sizes.size(); ++l) {
     const size_t width = config_.hidden_sizes[l];
     std::vector<int> deg(width);
@@ -58,9 +59,7 @@ MadeModel::MadeModel(std::vector<size_t> domains, Config config)
                          std::move(mask), &rng_);
     layer_degrees_.push_back(deg);
     prev_deg = std::move(deg);
-    prev_is_input = false;
   }
-  (void)prev_is_input;
 
   // Output heads: block i may only read units with degree < i, hence the
   // strict mask. Column 0's head sees nothing (bias-only marginal start);
@@ -121,8 +120,6 @@ void MadeModel::HeadForward(size_t col, EvalContext* ctx, Matrix* block,
                    hint);  // (B x h)
   const Embedding* emb = encoder_.embedding(col);
   NARU_CHECK(emb != nullptr);
-  // Embedding-reuse logits stay fp32 (SIMD when enabled): the table is
-  // shared with the input encoding, so it is not quantized.
   GemmNT(ctx->head_tmp, emb->table().value, block, /*accumulate=*/false,
          kernel);  // (B x D)
 }
@@ -156,25 +153,215 @@ void MadeModel::ConditionalDistWith(EvalContext* ctx, const IntMatrix& samples,
   SoftmaxRows(ctx->block, probs);
 }
 
-namespace {
-// Sampling cursor with private scratch: distinct sessions evaluate the
-// (read-only) weights concurrently.
+void MadeModel::InvalidatePanels() {
+  MutexLock lock(&panels_mu_);
+  panels_ = nullptr;
+}
+
+std::shared_ptr<const MadeModel::TrunkPanels> MadeModel::CurrentPanels() {
+  MutexLock lock(&panels_mu_);
+  if (panels_ != nullptr) return panels_;
+  const size_t n = num_columns();
+  const size_t degrees = n >= 2 ? n - 1 : 1;
+  auto panels = std::make_shared<TrunkPanels>(hidden_.size());
+  for (size_t l = 0; l < hidden_.size(); ++l) {
+    const Matrix& w = hidden_[l].weight().value;
+    const Matrix& b = hidden_[l].bias().value;
+    (*panels)[l].resize(degrees);
+    for (size_t d = 0; d < degrees; ++d) {
+      DegreePanel& p = (*panels)[l][d];
+      for (size_t k = 0; k < layer_degrees_[l].size(); ++k) {
+        if (layer_degrees_[l][k] == static_cast<int>(d)) p.units.push_back(k);
+      }
+      p.weight = Matrix(w.rows(), p.units.size());
+      p.bias = Matrix(1, p.units.size());
+      for (size_t j = 0; j < p.units.size(); ++j) {
+        for (size_t i = 0; i < w.rows(); ++i) {
+          p.weight.At(i, j) = w.At(i, p.units[j]);
+        }
+        p.bias.At(0, j) = b.At(0, p.units[j]);
+      }
+    }
+  }
+  panels_ = std::move(panels);
+  return panels_;
+}
+
+// Incremental sampling cursor (see made.h). ctx_.acts caches, for every
+// row of key_, the hidden units of degree < ready_ computed from that row's
+// codes for columns < ready_; all other units are 0. Distinct sessions
+// share only the read-only weights and panels, so they run concurrently.
 class MadeSession : public SamplingSession {
  public:
-  explicit MadeSession(const MadeModel* model) : model_(model) {}
+  MadeSession(const MadeModel* model,
+              std::shared_ptr<const MadeModel::TrunkPanels> panels)
+      : model_(model), panels_(std::move(panels)) {
+    ctx_.acts.resize(model_->hidden_.size());
+    spare_.resize(model_->hidden_.size());
+  }
+
   void Dist(const IntMatrix& samples, size_t col, Matrix* probs) override {
-    model_->ConditionalDistWith(&ctx_, samples, col, probs);
+    const MadeModel& m = *model_;
+    NARU_CHECK(col < m.num_columns() && samples.cols() == m.num_columns());
+    if (m.hidden_.empty()) {
+      // Linear MADE: the heads read the encoded prefix itself.
+      m.encoder_.EncodeBatchPrefix(samples, col, &ctx_.x);
+    } else {
+      // Reuse needs every row's prefix up to ready_ in the cache; stepping
+      // back a column (a new walk) or any unmatched row restarts at 0.
+      if (col < ready_ || (ready_ > 0 && !GatherCachedRows(samples))) {
+        ready_ = 0;
+      }
+      if (ready_ == 0) ZeroUnits(samples.rows());
+      if (ready_ < col) {
+        m.encoder_.EncodeBatchPrefix(samples, col, &ctx_.x);
+        for (size_t l = 0; l < m.hidden_.size(); ++l) {
+          for (size_t d = ready_; d < col; ++d) ComputeUnits(l, d);
+        }
+      }
+      ready_ = col;
+      key_ = samples;
+    }
+    m.HeadForward(col, &ctx_, probs, m.inference_kernel_);
+    SoftmaxRows(*probs, probs);
   }
 
  private:
+  static constexpr size_t kNoRow = ~size_t{0};
+
+  size_t width(size_t layer) const {
+    return model_->hidden_[layer].out_dim();
+  }
+
+  void ZeroUnits(size_t rows) {
+    for (size_t l = 0; l < ctx_.acts.size(); ++l) {
+      ctx_.acts[l].Resize(rows, width(l));
+      ctx_.acts[l].Zero();
+    }
+  }
+
+  bool SamePrefix(const int32_t* codes, size_t cached) const {
+    return cached < key_.rows() &&
+           std::memcmp(codes, key_.Row(cached), ready_ * sizeof(int32_t)) ==
+               0;
+  }
+
+  static uint64_t HashPrefix(const int32_t* codes, size_t len) {
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (size_t i = 0; i < len; ++i) {
+      h = (h ^ static_cast<uint32_t>(codes[i])) * 0x100000001b3ULL;
+    }
+    return h ^ (h >> 32);
+  }
+
+  // Open-addressing index over the distinct prefixes of key_: slot holds
+  // cached row + 1, 0 = empty. Built on the first lookup of a step.
+  void BuildIndex() {
+    size_t cap = 16;
+    while (cap < 2 * key_.rows()) cap <<= 1;
+    index_.assign(cap, 0);
+    for (size_t c = 0; c < key_.rows(); ++c) {
+      for (size_t s = HashPrefix(key_.Row(c), ready_) & (cap - 1);;
+           s = (s + 1) & (cap - 1)) {
+        if (index_[s] == 0) {
+          index_[s] = c + 1;
+          break;
+        }
+        if (SamePrefix(key_.Row(c), index_[s] - 1)) break;  // duplicate
+      }
+    }
+  }
+
+  size_t Lookup(const int32_t* codes) {
+    if (index_.empty()) BuildIndex();
+    const size_t mask = index_.size() - 1;
+    for (size_t s = HashPrefix(codes, ready_) & mask;; s = (s + 1) & mask) {
+      if (index_[s] == 0) return kNoRow;
+      if (SamePrefix(codes, index_[s] - 1)) return index_[s] - 1;
+    }
+  }
+
+  // Reorders the cache to the rows of `samples`, matching each row to a
+  // cached row with the same prefix: the same position, else the previous
+  // row's match + 1 (a retired or forked block), else an index lookup.
+  // False when some row has no cached twin.
+  bool GatherCachedRows(const IntMatrix& samples) {
+    const size_t rows = samples.rows();
+    match_.resize(rows);
+    index_.clear();
+    bool identity = rows <= key_.rows();
+    size_t next = 0;
+    for (size_t r = 0; r < rows; ++r) {
+      const int32_t* codes = samples.Row(r);
+      size_t c = r;
+      if (!SamePrefix(codes, c)) {
+        c = next;
+        if (!SamePrefix(codes, c)) c = Lookup(codes);
+        if (c == kNoRow) return false;
+      }
+      match_[r] = c;
+      next = c + 1;
+      identity = identity && c == r;
+    }
+    for (size_t l = 0; l < ctx_.acts.size(); ++l) {
+      if (identity) {
+        ctx_.acts[l].Resize(rows, width(l));  // keeps the leading rows
+        continue;
+      }
+      Matrix& out = spare_[l];
+      const Matrix& in = ctx_.acts[l];
+      out.Resize(rows, width(l));
+      for (size_t r = 0; r < rows; ++r) {
+        std::memcpy(out.Row(r), in.Row(match_[r]),
+                    in.stride() * sizeof(float));
+      }
+      std::swap(ctx_.acts[l], spare_[l]);
+    }
+    return true;
+  }
+
+  // Computes layer `layer`'s degree-`degree` units for every row: the same
+  // GEMM, bias, residual and ReLU arithmetic ForwardTrunk does for them,
+  // restricted to the panel's columns, scattered into place.
+  void ComputeUnits(size_t layer, size_t degree) {
+    const MadeModel& m = *model_;
+    const MadeModel::DegreePanel& panel = (*panels_)[layer][degree];
+    if (panel.units.empty()) return;
+    const Matrix& in = layer == 0 ? ctx_.x : ctx_.acts[layer - 1];
+    const InputHint hint = layer == 0 ? m.input_hint_ : InputHint::kDense;
+    GemmNN(in, panel.weight, &units_, /*accumulate=*/false,
+           m.inference_kernel_, hint);
+    AddBiasRows(panel.bias, &units_);
+    const bool skip = m.HasSkip(layer);
+    const size_t count = panel.units.size();
+    const size_t* pos = panel.units.data();
+    Matrix& out = ctx_.acts[layer];
+    for (size_t r = 0; r < in.rows(); ++r) {
+      const float* z = units_.Row(r);
+      const float* skip_row = in.Row(r);
+      float* h = out.Row(r);
+      for (size_t j = 0; j < count; ++j) {
+        float v = z[j];
+        if (skip) v += 1.0f * skip_row[pos[j]];
+        h[pos[j]] = v > 0.0f ? v : 0.0f;
+      }
+    }
+  }
+
   const MadeModel* model_;
+  std::shared_ptr<const MadeModel::TrunkPanels> panels_;
   MadeModel::EvalContext ctx_;
+  IntMatrix key_;      // codes the cached rows were computed from
+  size_t ready_ = 0;   // units of degree < ready_ are final
+  std::vector<Matrix> spare_;  // gather target, swapped with ctx_.acts
+  Matrix units_;               // one panel's pre-activation output
+  std::vector<size_t> match_;
+  std::vector<size_t> index_;
 };
-}  // namespace
 
 std::unique_ptr<SamplingSession> MadeModel::StartSession(size_t batch) {
-  (void)batch;  // contexts size themselves on first Dist
-  return std::make_unique<MadeSession>(this);
+  (void)batch;  // sessions size themselves on first Dist
+  return std::make_unique<MadeSession>(this, CurrentPanels());
 }
 
 void MadeModel::LogProbRows(const IntMatrix& tuples,
@@ -197,6 +384,8 @@ void MadeModel::LogProbRows(const IntMatrix& tuples,
 double MadeModel::ForwardBackward(const IntMatrix& codes) {
   const size_t batch = codes.rows();
   NARU_CHECK(batch > 0);
+  // The optimizer step that follows changes the weights.
+  InvalidatePanels();
   // Training is pinned to the scalar reference kernel: gradients must match
   // the arithmetic the tests and the determinism contract were built on.
   ForwardTrunk(codes, num_columns(), &eval_, KernelKind::kScalar);
@@ -231,15 +420,13 @@ double MadeModel::ForwardBackward(const IntMatrix& codes) {
     grad = std::move(grad_prev);
     grad_prev = Matrix();
   }
-  if (hidden_.empty()) {
-    // Degenerate linear MADE: heads consumed x_ directly and dfinal is the
-    // gradient w.r.t. x_ (now held in `grad`).
-  }
+  // A linear MADE's heads read x directly, so `grad` is then dfinal.
   encoder_.Backward(codes, grad);
   return total_nll;
 }
 
 std::vector<Parameter*> MadeModel::Parameters() {
+  InvalidatePanels();
   std::vector<Parameter*> params;
   encoder_.CollectParameters(&params);
   for (auto& h : hidden_) h.CollectParameters(&params);

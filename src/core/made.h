@@ -12,8 +12,20 @@
 // the paper's "embedding reuse" (§4.2): the head emits h dims and logits
 // are formed against the input embedding table, logits = H · E_i^T, saving
 // a |A_i| x F output layer.
+//
+// Sampling sessions are incremental. A hidden unit of degree d depends only
+// on columns <= d, so its value is final once column d is sampled: at step
+// `col` a session computes just the degree col-1 units of each layer (one
+// GEMM over a packed per-degree weight panel) and reuses every row's cached
+// lower-degree units. The cache is keyed by each row's sampled prefix codes
+// and every reuse is verified against them, so Dist stays a pure function
+// of (samples, col) and is bit-identical to the full recompute
+// (ConditionalDistWith): each GEMM kernel reduces an output element on one
+// ascending-k chain, and not-yet-computed units (held at 0) meet only
+// masked, exactly-zero weights.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,6 +34,7 @@
 #include "core/trainable_model.h"
 #include "nn/masked_linear.h"
 #include "util/status.h"
+#include "util/thread_annotations.h"
 
 namespace naru {
 
@@ -54,7 +67,7 @@ class MadeModel : public ConditionalModel, public TrainableModel {
     Matrix x;
     std::vector<Matrix> acts;
     Matrix head_tmp;  // reuse heads' h-dim output
-    Matrix block;     // current head logits
+    Matrix block;     // head logits (sessions write into probs instead)
   };
 
   // --- ConditionalModel ---
@@ -62,23 +75,18 @@ class MadeModel : public ConditionalModel, public TrainableModel {
   size_t DomainSize(size_t col) const override { return domains_[col]; }
   void ConditionalDist(const IntMatrix& samples, size_t col,
                        Matrix* probs) override;
-  /// Re-entrant ConditionalDist evaluating through caller-owned scratch.
+  /// Re-entrant ConditionalDist evaluating through caller-owned scratch:
+  /// a full trunk recompute from the prefix, and the reference the
+  /// incremental sessions are tested against. `samples` rows may stack the
+  /// walk states of several queries; per-row results are bit-identical to
+  /// evaluating each query's rows separately because every kernel on the
+  /// path (encode, gemm, bias, relu, softmax) is row-independent.
   void ConditionalDistWith(EvalContext* ctx, const IntMatrix& samples,
                            size_t col, Matrix* probs) const;
-  /// Stacked-rows entry point for the sampling-plan executor (src/plan):
-  /// `samples` rows may stack the walk states of several queries, and the
-  /// one trunk forward + head evaluation here fuses what would otherwise
-  /// be one GEMM sequence per query. Per-row results are bit-identical to
-  /// evaluating each query's rows separately because every kernel on the
-  /// path (encode, gemm, bias, relu, softmax) is row-independent — the
-  /// property SupportsStackedEvaluation() advertises.
-  void StackedConditionalDist(EvalContext* ctx, const IntMatrix& samples,
-                              size_t col, Matrix* probs) const {
-    ConditionalDistWith(ctx, samples, col, probs);
-  }
   void LogProbRows(const IntMatrix& tuples,
                    std::vector<double>* out_nats) override;
-  /// Sessions own an EvalContext each, so they can run concurrently.
+  /// Incremental sessions (see the file comment). Each owns its scratch
+  /// and shares the read-only weight panels, so they can run concurrently.
   std::unique_ptr<SamplingSession> StartSession(size_t batch) override;
   bool SupportsConcurrentSampling() const override { return true; }
   /// Switches the inference forward paths (ConditionalDist*, LogProbRows,
@@ -87,8 +95,8 @@ class MadeModel : public ConditionalModel, public TrainableModel {
     inference_kernel_ = kernel;
   }
   KernelKind inference_kernel() const override { return inference_kernel_; }
-  /// Sessions route through ConditionalDistWith, a pure function of
-  /// (samples, col) — see StackedConditionalDist above.
+  /// Session state is a cache keyed by, and verified against, each row's
+  /// prefix codes, so Dist is still a pure function of (samples, col).
   bool SupportsStackedEvaluation() const override { return true; }
   /// The widest hidden layer dominates the stacked GEMM chain (linear
   /// MADE: no hidden GEMMs, leave the hint unknown).
@@ -104,6 +112,8 @@ class MadeModel : public ConditionalModel, public TrainableModel {
   double ForwardBackward(const IntMatrix& codes);
 
   /// All trainable parameters (optimizer registration, serialization).
+  /// Handing them out marks the sessions' weight panels stale: callers may
+  /// write through the pointers.
   std::vector<Parameter*> Parameters();
 
   /// float32 model size (the paper's reported estimator size).
@@ -116,6 +126,25 @@ class MadeModel : public ConditionalModel, public TrainableModel {
   const InputEncoder& encoder() const { return encoder_; }
 
  private:
+  friend class MadeSession;
+
+  /// One hidden layer's units of one degree, packed for the session step:
+  /// the layer's masked weight columns (in_dim x units) and bias entries of
+  /// exactly those units, and where the units sit in the layer.
+  struct DegreePanel {
+    Matrix weight;
+    Matrix bias;
+    std::vector<size_t> units;
+  };
+  /// [layer][degree] panels; derived from the weights, never serialized.
+  using TrunkPanels = std::vector<std::vector<DegreePanel>>;
+
+  /// The panels for the current weights, rebuilt first if stale. Sessions
+  /// keep the returned snapshot, so a rebuild never touches one in use.
+  std::shared_ptr<const TrunkPanels> CurrentPanels();
+  /// Marks the panels stale (weights may change: training, Parameters()).
+  void InvalidatePanels();
+
   /// Encodes columns < upto and runs the hidden stack into `ctx`; the
   /// result lives in final_hidden(*ctx). With upto == num_columns() this is
   /// a full forward. Const: only caller scratch is written. `kernel` picks
@@ -165,6 +194,10 @@ class MadeModel : public ConditionalModel, public TrainableModel {
   // from the encoder's one-hot width fraction.
   KernelKind inference_kernel_ = KernelKind::kScalar;
   InputHint input_hint_ = InputHint::kDense;
+
+  // Session weight panels; null = rebuild on the next StartSession.
+  Mutex panels_mu_;
+  std::shared_ptr<const TrunkPanels> panels_ NARU_GUARDED_BY(panels_mu_);
 
   // Member workspace for the single-threaded paths (training, the
   // stateless ConditionalDist, LogProbRows). Concurrent inference goes

@@ -2,8 +2,11 @@
 // normalization, gradient correctness, training convergence, save/load.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <thread>
 
 #include "core/entropy.h"
 #include "core/made.h"
@@ -11,6 +14,7 @@
 #include "data/datasets.h"
 #include "data/table_stats.h"
 #include "nn/adam.h"
+#include "tensor/kernel.h"
 
 namespace naru {
 namespace {
@@ -392,6 +396,251 @@ TEST(Made, SingleColumnDegenerate) {
   // And the conditional ignores the (non-existent) prefix: both rows equal.
   for (size_t v = 0; v < 6; ++v) {
     EXPECT_FLOAT_EQ(probs.At(0, v), probs.At(1, v));
+  }
+}
+
+// --- Incremental sessions vs the full recompute -------------------------
+
+// Forces a dispatch level for the enclosing scope (restores probing on
+// destruction), so the portable fallback runs on AVX2 hosts too.
+class ScopedSimdLevel {
+ public:
+  explicit ScopedSimdLevel(SimdLevel level) {
+    SetSimdLevelOverrideForTest(level);
+  }
+  ~ScopedSimdLevel() { ClearSimdLevelOverrideForTest(); }
+};
+
+IntMatrix RandomCodes(const std::vector<size_t>& domains, size_t rows,
+                      Rng* rng) {
+  IntMatrix codes(rows, domains.size());
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < domains.size(); ++c) {
+      codes.At(r, c) = static_cast<int32_t>(rng->UniformInt(domains[c]));
+    }
+  }
+  return codes;
+}
+
+// Rows of `src` in the order `order` (indices may repeat or be dropped).
+IntMatrix PickRows(const IntMatrix& src, const std::vector<size_t>& order) {
+  IntMatrix out(order.size(), src.cols());
+  for (size_t r = 0; r < order.size(); ++r) {
+    std::memcpy(out.Row(r), src.Row(order[r]), src.cols() * sizeof(int32_t));
+  }
+  return out;
+}
+
+// Relayouts a walk between steps the way the plan executor and the
+// sampler can: drop a block (retire), append a copy of a block (fork),
+// reverse the rows, or change one row's prefix (forces a cache miss).
+IntMatrix Relayout(const IntMatrix& samples, size_t step, size_t col,
+                   const std::vector<size_t>& domains) {
+  const size_t rows = samples.rows();
+  std::vector<size_t> order;
+  switch (step % 5) {
+    case 1:  // retire rows [2, 5)
+      for (size_t r = 0; r < rows; ++r) {
+        if (r < 2 || r >= 5) order.push_back(r);
+      }
+      return PickRows(samples, order);
+    case 2:  // fork rows [0, 4) into a new block
+      for (size_t r = 0; r < rows; ++r) order.push_back(r);
+      for (size_t r = 0; r < std::min<size_t>(4, rows); ++r) {
+        order.push_back(r);
+      }
+      return PickRows(samples, order);
+    case 3:  // reverse
+      for (size_t r = rows; r-- > 0;) order.push_back(r);
+      return PickRows(samples, order);
+    case 4: {  // change one row's prefix
+      IntMatrix out = samples;
+      if (col > 0 && rows > 1) {
+        out.At(1, 0) = (out.At(1, 0) + 1) % static_cast<int32_t>(domains[0]);
+      }
+      return out;
+    }
+    default:
+      return samples;
+  }
+}
+
+void ExpectSameBits(const Matrix& got, const Matrix& want,
+                    const std::string& where) {
+  ASSERT_EQ(got.rows(), want.rows()) << where;
+  ASSERT_EQ(got.cols(), want.cols()) << where;
+  for (size_t r = 0; r < got.rows(); ++r) {
+    ASSERT_EQ(std::memcmp(got.Row(r), want.Row(r), got.cols() * sizeof(float)),
+              0)
+        << where << " row " << r;
+  }
+}
+
+// Walks one session over every column (twice: a session is reused for a
+// new walk) with relayouts between steps; every Dist must equal the full
+// recompute bit for bit. Codes of columns >= col are random garbage, which
+// both paths must ignore.
+void ExpectSessionMatchesRecompute(MadeModel* model, uint64_t seed,
+                                   const std::string& label) {
+  const size_t n = model->num_columns();
+  std::vector<size_t> domains;
+  for (size_t c = 0; c < n; ++c) domains.push_back(model->DomainSize(c));
+  Rng rng(seed);
+  auto session = model->StartSession(12);
+  MadeModel::EvalContext ref_ctx;
+  Matrix got, want;
+  size_t step = 0;
+  for (int walk = 0; walk < 2; ++walk) {
+    IntMatrix samples = RandomCodes(domains, 12, &rng);
+    for (size_t col = 0; col < n; ++col) {
+      const std::string where = label + " walk " + std::to_string(walk) +
+                                " col " + std::to_string(col);
+      session->Dist(samples, col, &got);
+      model->ConditionalDistWith(&ref_ctx, samples, col, &want);
+      ExpectSameBits(got, want, where);
+      // Asking again for the same column must hit the cache unchanged.
+      session->Dist(samples, col, &got);
+      ExpectSameBits(got, want, where + " (repeat)");
+      for (size_t r = 0; r < samples.rows(); ++r) {
+        samples.At(r, col) = static_cast<int32_t>(rng.UniformInt(domains[col]));
+      }
+      samples = Relayout(samples, ++step, col, domains);
+    }
+  }
+}
+
+struct SessionCase {
+  std::string name;
+  std::vector<size_t> domains;
+  MadeModel::Config cfg;
+};
+
+std::vector<SessionCase> SessionCases() {
+  std::vector<SessionCase> cases;
+  // DMV-shaped: mostly one-hot columns (kOneHot input hint) plus
+  // embedding-encoded, embedding-reuse heads.
+  MadeModel::Config dmv;
+  dmv.hidden_sizes = {32, 32, 32, 32};
+  dmv.encoder.onehot_threshold = 16;
+  dmv.encoder.embed_dim = 8;
+  dmv.seed = 3;
+  cases.push_back({"dmv", {3, 40, 5, 7, 60, 4, 2, 9}, dmv});
+  MadeModel::Config res = SmallConfig(5);
+  res.hidden_sizes = {24, 24, 24};
+  res.residual = true;
+  cases.push_back({"resmade", {5, 3, 12, 4, 6}, res});
+  // Width 4 < n-1 = 7 leaves degrees 4..6 empty; width 10 gives uneven
+  // panels (2 units for degrees 0..2, 1 for the rest).
+  MadeModel::Config narrow = SmallConfig(7);
+  narrow.hidden_sizes = {4, 10};
+  cases.push_back({"narrow", {3, 4, 5, 6, 3, 4, 5, 6}, narrow});
+  cases.push_back({"two_columns", {5, 9}, SmallConfig(9)});
+  cases.push_back({"one_column", {6}, SmallConfig(11)});
+  MadeModel::Config linear = SmallConfig(13);
+  linear.hidden_sizes = {};
+  cases.push_back({"linear", {4, 12, 3}, linear});
+  return cases;
+}
+
+TEST(MadeSession, BitIdenticalToFullRecompute) {
+  uint64_t seed = 100;
+  for (const SessionCase& sc : SessionCases()) {
+    MadeModel model(sc.domains, sc.cfg);
+    for (const KernelKind kernel : {KernelKind::kScalar, KernelKind::kSimd}) {
+      model.SetInferenceKernel(kernel);
+      ExpectSessionMatchesRecompute(
+          &model, ++seed, sc.name + " " + KernelKindName(kernel));
+    }
+    {
+      ScopedSimdLevel portable(SimdLevel::kNone);
+      ExpectSessionMatchesRecompute(&model, ++seed, sc.name + " portable");
+    }
+  }
+}
+
+TEST(MadeSession, FreshSessionSeesLoadedWeights) {
+  const std::vector<size_t> domains = {5, 30, 7, 4};
+  MadeModel a(domains, SmallConfig(31));
+  MadeModel b(domains, SmallConfig(99));  // different init
+  ExpectSessionMatchesRecompute(&b, 1, "before load");  // builds panels
+
+  const std::string path = testing::TempDir() + "/naru_made_session.bin";
+  ASSERT_TRUE(a.Save(path).ok());
+  ASSERT_TRUE(b.Load(path).ok());
+  std::remove(path.c_str());
+  ExpectSessionMatchesRecompute(&b, 2, "after load");
+}
+
+TEST(MadeSession, FreshSessionSeesTrainedWeights) {
+  const std::vector<size_t> domains = {5, 30, 7, 4};
+  MadeModel::Config cfg = SmallConfig(17);
+  cfg.residual = true;
+  MadeModel model(domains, cfg);
+  Adam adam(model.Parameters(), AdamOptions{});
+  ExpectSessionMatchesRecompute(&model, 3, "before step");  // builds panels
+
+  Rng rng(19);
+  const IntMatrix batch = RandomCodes(domains, 16, &rng);
+  model.ForwardBackward(batch);
+  adam.Step();
+  ExpectSessionMatchesRecompute(&model, 4, "after step");
+}
+
+// One deterministic sampled walk through a fresh session; returns every
+// conditional it saw.
+std::vector<float> SampledWalk(MadeModel* model, uint64_t seed) {
+  const size_t n = model->num_columns();
+  const size_t rows = 24;
+  Rng rng(seed);
+  IntMatrix samples(rows, n);
+  auto session = model->StartSession(rows);
+  Matrix probs;
+  std::vector<float> seen;
+  for (size_t col = 0; col < n; ++col) {
+    session->Dist(samples, col, &probs);
+    for (size_t r = 0; r < rows; ++r) {
+      seen.insert(seen.end(), probs.Row(r), probs.Row(r) + probs.cols());
+      samples.At(r, col) =
+          static_cast<int32_t>(rng.Categorical(probs.Row(r), probs.cols()));
+    }
+  }
+  return seen;
+}
+
+// Sessions started and walked from several threads at once share one
+// model's weight panels; each walk must equal its single-threaded twin.
+// Parameters() drops the panels first, so the threads also race to
+// rebuild them (TSan/ASan legs cover building and reading).
+TEST(MadeSession, ConcurrentSessionsMatchSequential) {
+  MadeModel::Config cfg = SmallConfig(23);
+  cfg.hidden_sizes = {32, 32, 32};
+  MadeModel model({6, 20, 4, 9, 5}, cfg);
+  model.SetInferenceKernel(KernelKind::kSimd);
+  constexpr size_t kThreads = 4;
+  constexpr size_t kWalks = 3;
+  std::vector<std::vector<float>> want;
+  for (size_t i = 0; i < kThreads * kWalks; ++i) {
+    want.push_back(SampledWalk(&model, 500 + i));
+  }
+
+  (void)model.Parameters();
+  std::vector<std::vector<float>> got(kThreads * kWalks);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t w = 0; w < kWalks; ++w) {
+        const size_t i = t * kWalks + w;
+        got[i] = SampledWalk(&model, 500 + i);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].size(), want[i].size()) << "walk " << i;
+    EXPECT_EQ(std::memcmp(got[i].data(), want[i].data(),
+                          want[i].size() * sizeof(float)),
+              0)
+        << "walk " << i;
   }
 }
 

@@ -6,6 +6,7 @@
 // across shard sizes, tree shapes, kernels, and thread counts.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <set>
 #include <vector>
@@ -247,7 +248,7 @@ TEST(MadeModel, StackedRowsEvaluateBitIdentically) {
     Matrix pa, pb, ps;
     model->ConditionalDistWith(&ctx_a, a, col, &pa);
     model->ConditionalDistWith(&ctx_b, b, col, &pb);
-    model->StackedConditionalDist(&ctx_s, stacked, col, &ps);
+    model->ConditionalDistWith(&ctx_s, stacked, col, &ps);
     ASSERT_EQ(ps.rows(), 8u);
     for (size_t r = 0; r < 3; ++r) {
       EXPECT_EQ(std::memcmp(ps.Row(r), pa.Row(r),
@@ -467,6 +468,103 @@ TEST(PlanExecutor, RefusesStatefulSessionModels) {
   Table t = PlanTable(13);
   OracleModel oracle(&t);
   EXPECT_FALSE(oracle.SupportsStackedEvaluation());
+}
+
+// --- Statistical contract (Theorem 1) -----------------------------------
+
+// The model's exact selectivity of `q`: the sum of P̂(x) over the region's
+// cross product, one LogProbRows pass.
+double ExactModelSelectivity(MadeModel* model, const Query& q) {
+  const size_t n = model->num_columns();
+  size_t total = 1;
+  for (size_t c = 0; c < n; ++c) total *= q.region(c).Count();
+  IntMatrix tuples(total, n);
+  for (size_t i = 0; i < total; ++i) {
+    size_t rest = i;
+    for (size_t c = n; c-- > 0;) {
+      const size_t count = q.region(c).Count();
+      tuples.At(i, c) = q.region(c).NthCode(rest % count);
+      rest /= count;
+    }
+  }
+  std::vector<double> log_probs;
+  model->LogProbRows(tuples, &log_probs);
+  double sum = 0;
+  for (double lp : log_probs) sum += std::exp(lp);
+  return sum;
+}
+
+// Checks one route's estimates of one query over the seed sweep: the mean
+// lies within 4 standard errors of the exact value (unbiasedness), and the
+// per-seed ±2·std_error intervals cover it at least 85% of the time.
+void ExpectUnbiasedAndCalibrated(const std::vector<double>& est,
+                                 const std::vector<double>& se, double exact,
+                                 const std::string& where) {
+  const double k = static_cast<double>(est.size());
+  double mean = 0;
+  for (double e : est) mean += e;
+  mean /= k;
+  double var = 0;
+  for (double e : est) var += (e - mean) * (e - mean);
+  const double se_of_mean = std::sqrt(var / (k - 1.0) / k);
+  EXPECT_LE(std::fabs(mean - exact), 4.0 * se_of_mean)
+      << where << ": mean " << mean << " exact " << exact;
+  size_t covered = 0;
+  for (size_t i = 0; i < est.size(); ++i) {
+    if (std::fabs(est[i] - exact) <= 2.0 * se[i]) ++covered;
+  }
+  EXPECT_GE(static_cast<double>(covered), 0.85 * k)
+      << where << ": " << covered << " of " << est.size() << " covered";
+}
+
+TEST(StatisticalContract, MadeEstimatesUnbiasedAndCalibrated) {
+  Table t = PlanTable(41);
+  auto model = PlanModel(t, 41);
+  const std::vector<Query> queries = {QueryOn(t, {0, 2}), QueryOn(t, {1, 4}),
+                                      QueryOn(t, {0, 1, 3, 5}),
+                                      QueryOn(t, {2, 3, 4})};
+  std::vector<const Query*> ptrs;
+  std::vector<double> exact;
+  for (const auto& q : queries) {
+    ptrs.push_back(&q);
+    exact.push_back(ExactModelSelectivity(model.get(), q));
+  }
+  const SamplingPlan plan = CompileSamplingPlan(model.get(), ptrs);
+
+  constexpr size_t kSeeds = 200;
+  constexpr size_t kSamples = 64;
+  std::vector<std::vector<double>> seq(queries.size()), seq_se(queries.size());
+  std::vector<std::vector<double>> planned(queries.size()),
+      planned_se(queries.size());
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    ProgressiveSamplerConfig scfg;
+    scfg.num_samples = kSamples;
+    scfg.seed = seed;
+    scfg.parallelism = 1;
+    ProgressiveSampler sampler(model.get(), scfg);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      double se = 0;
+      seq[i].push_back(sampler.EstimateWithStdError(queries[i], &se));
+      seq_se[i].push_back(se);
+    }
+    PlanExecutionOptions opts;
+    opts.num_samples = kSamples;
+    opts.seed = seed;
+    opts.parallelism = 1;
+    std::vector<double> got, got_se;
+    ExecuteSamplingPlan(model.get(), plan, opts, &got, &got_se);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      planned[i].push_back(got[i]);
+      planned_se[i].push_back(got_se[i]);
+    }
+  }
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const std::string q = "query " + std::to_string(i);
+    ExpectUnbiasedAndCalibrated(seq[i], seq_se[i], exact[i],
+                                "sequential " + q);
+    ExpectUnbiasedAndCalibrated(planned[i], planned_se[i], exact[i],
+                                "planned " + q);
+  }
 }
 
 }  // namespace
