@@ -60,10 +60,12 @@ class ConditionalModel {
   /// Zeroes the entries of `probs_row` (length DomainSize(pos)) outside
   /// the set allowed at model position `pos` for a path whose sampled
   /// model prefix is `prefix` (positions < pos are valid); returns the
-  /// remaining mass. The default masks with the table column's query
-  /// region identically for every path; factorized models restrict a low
-  /// sub-column using the already-sampled high part, which is why the
-  /// prefix is part of the contract.
+  /// remaining mass: the double sum of the kept entries in index order.
+  /// SamplerColumnStep hands it to Rng::Categorical as the row's total,
+  /// so it must equal that sum exactly. The default masks with the table
+  /// column's query region identically for every path; factorized models
+  /// restrict a low sub-column using the already-sampled high part, which
+  /// is why the prefix is part of the contract.
   virtual double MaskProbsToRegion(const Query& query, const int32_t* prefix,
                                    size_t pos, float* probs_row) const {
     (void)prefix;

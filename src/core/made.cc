@@ -150,7 +150,7 @@ void MadeModel::ConditionalDistWith(EvalContext* ctx, const IntMatrix& samples,
   NARU_CHECK(col < num_columns());
   ForwardTrunk(samples, col, ctx, inference_kernel_);
   HeadForward(col, ctx, &ctx->block, inference_kernel_);
-  SoftmaxRows(ctx->block, probs);
+  SoftmaxRows(ctx->block, probs, inference_kernel_);
 }
 
 void MadeModel::InvalidatePanels() {
@@ -223,7 +223,7 @@ class MadeSession : public SamplingSession {
       key_ = samples;
     }
     m.HeadForward(col, &ctx_, probs, m.inference_kernel_);
-    SoftmaxRows(*probs, probs);
+    SoftmaxRows(*probs, probs, m.inference_kernel_);
   }
 
  private:
@@ -374,7 +374,7 @@ void MadeModel::LogProbRows(const IntMatrix& tuples,
     const size_t d = domains_[c];
     for (size_t r = 0; r < batch; ++r) {
       const float* row = eval_.block.Row(r);
-      const double log_z = LogSumExpSlice(row, 0, d);
+      const double log_z = LogSumExpSlice(row, 0, d, inference_kernel_);
       const int32_t target = tuples.At(r, c);
       (*out_nats)[r] += static_cast<double>(row[target]) - log_z;
     }

@@ -67,8 +67,11 @@ void SamplerColumnStep(const ConditionalModel* model, const Query& query,
     }
     block.weights[r] *= std::min(mass, 1.0);
     // Draw from the truncated, renormalized conditional (the row has
-    // been zeroed outside the region; Categorical renormalizes).
-    const size_t v = rng->Categorical(row, d);
+    // been zeroed outside the region; Categorical renormalizes). A mask
+    // sums the entries it keeps in index order, so its mass is the total
+    // Categorical would compute and the draw need not re-sum the row.
+    const size_t v = wildcard ? rng->Categorical(row, d)
+                              : rng->Categorical(row, d, mass);
     block.samples->At(row_index, col) = static_cast<int32_t>(v);
   }
 }

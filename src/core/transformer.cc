@@ -293,7 +293,7 @@ void TransformerModel::ConditionalDistWith(EvalContext* ctx,
   const size_t T = col + 1;
   ForwardTrunkWith(ctx, samples, T, inference_kernel_);
   HeadForwardWith(ctx, col, samples.rows(), T, inference_kernel_);
-  SoftmaxRows(ctx->logits, probs);
+  SoftmaxRows(ctx->logits, probs, inference_kernel_);
 }
 
 void TransformerModel::ConditionalDist(const IntMatrix& samples, size_t col,
@@ -333,7 +333,8 @@ void TransformerModel::LogProbRows(const IntMatrix& tuples,
     HeadForwardWith(&eval_, c, batch, n, inference_kernel_);
     for (size_t b = 0; b < batch; ++b) {
       const float* row = eval_.logits.Row(b);
-      const double lse = LogSumExpSlice(row, 0, domains_[c]);
+      const double lse =
+          LogSumExpSlice(row, 0, domains_[c], inference_kernel_);
       (*out_nats)[b] += row[tuples.At(b, c)] - lse;
     }
   }

@@ -113,16 +113,12 @@ double ValueSet::MaskProbs(float* probs) const {
       return mass;
     }
     case Kind::kInterval: {
+      // [lo, end) is kept; an empty interval keeps nothing.
       const size_t lo = hi_ >= lo_ ? static_cast<size_t>(lo_) : domain_;
-      const size_t hi =
-          hi_ >= lo_ ? static_cast<size_t>(hi_) : 0;  // inclusive
-      for (size_t i = 0; i < domain_; ++i) {
-        if (i < lo || i > hi) {
-          probs[i] = 0.0f;
-        } else {
-          mass += probs[i];
-        }
-      }
+      const size_t end = hi_ >= lo_ ? static_cast<size_t>(hi_) + 1 : domain_;
+      std::fill(probs, probs + lo, 0.0f);
+      for (size_t i = lo; i < end; ++i) mass += probs[i];
+      std::fill(probs + end, probs + domain_, 0.0f);
       return mass;
     }
     case Kind::kSet: {

@@ -49,7 +49,8 @@ class ValueSet {
   ValueSet Intersect(const ValueSet& other) const;
 
   /// Zeroes probs[c] for every code c outside this set; returns the
-  /// remaining (pre-normalization) mass. `probs` has `domain()` entries.
+  /// remaining (pre-normalization) mass, summed in double over the kept
+  /// entries in ascending index order. `probs` has `domain()` entries.
   double MaskProbs(float* probs) const;
 
   /// Interval bounds (only for kInterval).

@@ -15,6 +15,32 @@ inline uint64_t SplitMix64(uint64_t* state) {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
 }
+
+template <typename T>
+double TotalWeight(const T* weights, size_t n) {
+  double total = 0;
+  for (size_t i = 0; i < n; ++i) total += weights[i];
+  return total;
+}
+
+// Inverse-CDF scan: the first index whose running double sum exceeds
+// u * total.
+template <typename T>
+size_t DrawCategorical(Rng* rng, const T* weights, size_t n, double total) {
+  NARU_DCHECK(n > 0);
+  NARU_CHECK_MSG(total > 0, "Categorical requires positive total weight");
+  const double r = rng->UniformDouble() * total;
+  double acc = 0;
+  for (size_t i = 0; i < n; ++i) {
+    acc += weights[i];
+    if (r < acc) return i;
+  }
+  // Fall through on floating-point slack: return last positive-weight index.
+  for (size_t i = n; i > 0; --i) {
+    if (weights[i - 1] > 0) return i - 1;
+  }
+  return n - 1;
+}
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -70,38 +96,15 @@ double Rng::Gaussian() {
 }
 
 size_t Rng::Categorical(const double* weights, size_t n) {
-  NARU_DCHECK(n > 0);
-  double total = 0;
-  for (size_t i = 0; i < n; ++i) total += weights[i];
-  NARU_CHECK_MSG(total > 0, "Categorical requires positive total weight");
-  double r = UniformDouble() * total;
-  double acc = 0;
-  for (size_t i = 0; i < n; ++i) {
-    acc += weights[i];
-    if (r < acc) return i;
-  }
-  // Fall through on floating-point slack: return last positive-weight index.
-  for (size_t i = n; i > 0; --i) {
-    if (weights[i - 1] > 0) return i - 1;
-  }
-  return n - 1;
+  return DrawCategorical(this, weights, n, TotalWeight(weights, n));
 }
 
 size_t Rng::Categorical(const float* weights, size_t n) {
-  NARU_DCHECK(n > 0);
-  double total = 0;
-  for (size_t i = 0; i < n; ++i) total += weights[i];
-  NARU_CHECK_MSG(total > 0, "Categorical requires positive total weight");
-  double r = UniformDouble() * total;
-  double acc = 0;
-  for (size_t i = 0; i < n; ++i) {
-    acc += weights[i];
-    if (r < acc) return i;
-  }
-  for (size_t i = n; i > 0; --i) {
-    if (weights[i - 1] > 0) return i - 1;
-  }
-  return n - 1;
+  return DrawCategorical(this, weights, n, TotalWeight(weights, n));
+}
+
+size_t Rng::Categorical(const float* weights, size_t n, double total) {
+  return DrawCategorical(this, weights, n, total);
 }
 
 size_t Rng::Zipf(size_t n, double s) {

@@ -45,6 +45,12 @@ class Rng {
   }
   /// Float-weight overload (used for sampling from model softmax rows).
   size_t Categorical(const float* weights, size_t n);
+  /// The same draw with the weights' total supplied by the caller, who
+  /// has already summed them. Picks the index Categorical(weights, n)
+  /// picks from the same state when `total` is the double sum of
+  /// weights[0, n) in index order (such as the mass a mask returned:
+  /// the zeroed entries it skipped add exactly +0).
+  size_t Categorical(const float* weights, size_t n, double total);
 
   /// Zipf-distributed integer in [0, n) with exponent `s` (s=0 is uniform).
   /// Uses an O(n) precomputed table-free rejection-less inverse-CDF on first

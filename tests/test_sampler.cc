@@ -1,11 +1,13 @@
 // Tests for progressive sampling (Algorithm 1) and exact enumeration:
 // unbiasedness on oracle joints, consistency with enumeration on learned
-// models, wildcard handling, the uniform-region strawman.
+// models, wildcard handling, the uniform-region strawman, and the
+// mask-mass invariant the column step's draw relies on.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/enumerator.h"
+#include "core/factorized.h"
 #include "core/made.h"
 #include "core/oracle_model.h"
 #include "core/sampler.h"
@@ -270,6 +272,102 @@ TEST(Sampler, ColumnStepPrimitiveReproducesFullWalk) {
     for (double w : weights) weight_sum += w;
   }
   EXPECT_EQ(weight_sum / static_cast<double>(scfg.num_samples), want);
+}
+
+// --- The mass a mask returns is the draw's total ------------------------
+// SamplerColumnStep hands the mass MaskProbsToRegion returned to
+// Rng::Categorical(w, n, total) instead of re-summing the row. That draw
+// is the re-summing draw only if every mask returns exactly the double sum
+// of the masked row in index order (the zeroed entries add +0).
+
+// Positive weights spread over several orders of magnitude, so a double
+// sum in any other order or over a different subset would differ.
+std::vector<float> MassRow(size_t n, Rng* rng) {
+  std::vector<float> row(n);
+  for (float& v : row) {
+    v = static_cast<float>(1e-3 * std::exp(3.0 * rng->Gaussian()));
+  }
+  return row;
+}
+
+double IndexOrderSum(const std::vector<float>& row) {
+  double sum = 0;
+  for (float v : row) sum += v;
+  return sum;
+}
+
+TEST(MaskMass, ValueSetMassIsIndexOrderSumOfMaskedRow) {
+  Rng rng(61);
+  const size_t d = 300;
+  const std::vector<ValueSet> regions = {
+      ValueSet::All(d),
+      ValueSet::Interval(d, 17, 211),
+      ValueSet::Interval(d, 0, 0),
+      ValueSet::Interval(d, 250, 299),
+      ValueSet::Set(d, {0, 3, 4, 90, 150, 299}),
+      ValueSet::Empty(d)};
+  for (const ValueSet& region : regions) {
+    std::vector<float> row = MassRow(d, &rng);
+    const std::vector<float> before = row;
+    const double mass = region.MaskProbs(row.data());
+    EXPECT_EQ(mass, IndexOrderSum(row)) << region.ToString();
+    for (size_t i = 0; i < d; ++i) {
+      ASSERT_EQ(row[i], region.Contains(static_cast<int32_t>(i)) ? before[i]
+                                                                  : 0.0f)
+          << region.ToString() << " code " << i;
+    }
+  }
+}
+
+TEST(MaskMass, FactorizedMassIsIndexOrderSumOfMaskedRow) {
+  // Column 1 (domain 500) splits into a high position (16 blocks) and a
+  // low position (32 codes; the last block holds only 20 valid codes).
+  FactorizedLayout layout = FactorizedLayout::Build({6, 500}, 64);
+  MadeModel::Config mcfg;
+  mcfg.hidden_sizes = {16};
+  FactorizedModel model(
+      std::make_unique<MadeModel>(layout.position_domains(), mcfg), layout);
+  ASSERT_EQ(model.num_columns(), 3u);
+  Rng rng(67);
+  const std::vector<ValueSet> regions = {
+      ValueSet::All(500), ValueSet::Interval(500, 37, 413),
+      ValueSet::Interval(500, 480, 499),
+      ValueSet::Set(500, {5, 40, 41, 250, 499}), ValueSet::Empty(500)};
+  for (const ValueSet& region : regions) {
+    const Query q({ValueSet::Interval(6, 1, 4), region});
+    for (size_t pos = 0; pos < model.num_columns(); ++pos) {
+      // The low position's mask depends on the sampled high part.
+      const size_t highs = pos == 2 ? model.DomainSize(1) : 1;
+      for (size_t high = 0; high < highs; ++high) {
+        const int32_t prefix[3] = {2, static_cast<int32_t>(high), 0};
+        std::vector<float> row = MassRow(model.DomainSize(pos), &rng);
+        const double mass =
+            model.MaskProbsToRegion(q, prefix, pos, row.data());
+        EXPECT_EQ(mass, IndexOrderSum(row))
+            << region.ToString() << " pos " << pos << " high " << high;
+      }
+    }
+  }
+}
+
+TEST(MaskMass, CategoricalWithSuppliedTotalMatchesResumming) {
+  Rng rng(71);
+  for (uint64_t trial = 0; trial < 200; ++trial) {
+    const size_t n = 1 + rng.UniformInt(300);
+    std::vector<float> row = MassRow(n, &rng);
+    const int64_t a = static_cast<int64_t>(rng.UniformInt(n));
+    const int64_t b = static_cast<int64_t>(rng.UniformInt(n));
+    const double mass =
+        ValueSet::Interval(n, std::min(a, b), std::max(a, b))
+            .MaskProbs(row.data());
+    ASSERT_GT(mass, 0.0);
+    Rng resum(1000 + trial), supplied(1000 + trial);
+    for (int k = 0; k < 16; ++k) {
+      ASSERT_EQ(resum.Categorical(row.data(), n),
+                supplied.Categorical(row.data(), n, mass))
+          << "trial " << trial << " draw " << k;
+    }
+  }
 }
 
 TEST(Enumerator, MatchesTruthOnOracle) {

@@ -1,10 +1,14 @@
 // Unit tests for the tensor substrate: GEMM variants vs naive reference,
-// softmax, ReLU and reductions.
+// softmax and log-sum-exp (scalar reference vs the simd row kernels),
+// ReLU and reductions.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstring>
 
 #include "tensor/gemm.h"
+#include "tensor/kernel.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
 #include "util/random.h"
@@ -142,22 +146,6 @@ TEST(Ops, SoftmaxIsShiftInvariant) {
   for (size_t c = 0; c < 3; ++c) EXPECT_NEAR(p.At(0, c), q.At(0, c), 1e-6);
 }
 
-TEST(Ops, SoftmaxSlice) {
-  Matrix logits(2, 6);
-  logits.Fill(0.0f);
-  logits.At(0, 2) = 5.0f;
-  Matrix probs(2, 6);
-  probs.Fill(-1.0f);
-  SoftmaxRowsSlice(logits, 2, 5, &probs);
-  // Columns outside [2, 5) untouched.
-  EXPECT_FLOAT_EQ(probs.At(0, 0), -1.0f);
-  EXPECT_FLOAT_EQ(probs.At(0, 5), -1.0f);
-  double sum = 0;
-  for (size_t c = 2; c < 5; ++c) sum += probs.At(0, c);
-  EXPECT_NEAR(sum, 1.0, 1e-5);
-  EXPECT_GT(probs.At(0, 2), 0.9f);
-}
-
 TEST(Ops, LogSumExpSlice) {
   const float row[4] = {0.0f, 1.0f, 2.0f, 100.0f};
   const double lse = LogSumExpSlice(row, 0, 3);
@@ -165,6 +153,114 @@ TEST(Ops, LogSumExpSlice) {
                                    std::exp(2.0));
   EXPECT_NEAR(lse, expected, 1e-9);
   EXPECT_NEAR(LogSumExpSlice(row, 3, 4), 100.0, 1e-9);
+}
+
+// --- Kernel-dispatched row epilogues (SoftmaxRows, LogSumExpSlice) -------
+
+constexpr size_t kEpilogueWidths[] = {1, 7, 8, 9, 16, 17, 2101};
+
+// Rows for the simd-vs-scalar checks: Gaussian logits at two scales,
+// large-magnitude logits (+-80, so the shifted exps span the float range
+// and some underflow), and two all-equal rows. The all -80 row would
+// change if a kernel read the zero padding as logits.
+Matrix EpilogueLogits(size_t width, Rng* rng) {
+  Matrix m(6, width);
+  for (size_t c = 0; c < width; ++c) {
+    m.At(0, c) = static_cast<float>(rng->Gaussian());
+    m.At(1, c) = static_cast<float>(4.0 * rng->Gaussian());
+    m.At(2, c) = rng->UniformDouble() < 0.5 ? 80.0f : -80.0f;
+    m.At(3, c) = static_cast<float>(160.0 * rng->UniformDouble() - 80.0);
+    m.At(4, c) = 0.25f;
+    m.At(5, c) = -80.0f;
+  }
+  return m;
+}
+
+TEST(RowEpilogue, SimdSoftmaxMatchesScalar) {
+  Rng rng(17);
+  bool any_bits_differ = false;
+  for (size_t width : kEpilogueWidths) {
+    const Matrix logits = EpilogueLogits(width, &rng);
+    Matrix scalar, simd;
+    SoftmaxRows(logits, &scalar, KernelKind::kScalar);
+    SoftmaxRows(logits, &simd, KernelKind::kSimd);
+    for (size_t r = 0; r < logits.rows(); ++r) {
+      double sum = 0;
+      for (size_t c = 0; c < width; ++c) {
+        const float want = scalar.At(r, c);
+        const float got = simd.At(r, c);
+        // Relative agreement; FLT_MIN absolute slack covers the values
+        // below ln(FLT_MIN) the simd exp flushes to 0.
+        EXPECT_NEAR(got, want, 1e-5 * want + FLT_MIN)
+            << "width " << width << " row " << r << " col " << c;
+        EXPECT_GE(got, 0.0f);
+        any_bits_differ = any_bits_differ || got != want;
+        sum += got;
+      }
+      EXPECT_NEAR(sum, 1.0, 1e-5) << "width " << width << " row " << r;
+      for (size_t c = width; c < simd.stride(); ++c) {
+        EXPECT_EQ(simd.Row(r)[c], 0.0f) << "padding col " << c;
+      }
+    }
+  }
+  // On an AVX2 host the polynomial exp must really be in use; elsewhere
+  // kSimd is the scalar code.
+  EXPECT_EQ(any_bits_differ, DetectedSimdLevel() == SimdLevel::kAvx2);
+}
+
+TEST(RowEpilogue, SimdSoftmaxInPlaceKeepsPaddingZero) {
+  Rng rng(23);
+  for (size_t width : kEpilogueWidths) {
+    Matrix m = EpilogueLogits(width, &rng);
+    Matrix want;
+    SoftmaxRows(m, &want, KernelKind::kSimd);
+    SoftmaxRows(m, &m, KernelKind::kSimd);  // the session's in-place call
+    ASSERT_EQ(std::memcmp(m.data(), want.data(), m.size() * sizeof(float)),
+              0)
+        << "width " << width;
+  }
+}
+
+TEST(RowEpilogue, SimdLogSumExpMatchesScalar) {
+  Rng rng(29);
+  for (size_t width : kEpilogueWidths) {
+    const Matrix logits = EpilogueLogits(width, &rng);
+    for (size_t r = 0; r < logits.rows(); ++r) {
+      const float* row = logits.Row(r);
+      // Whole row, and (when wide enough) a slice starting off lane 0.
+      for (size_t begin : {size_t{0}, width > 1 ? size_t{1} : size_t{0}}) {
+        EXPECT_NEAR(LogSumExpSlice(row, begin, width, KernelKind::kSimd),
+                    LogSumExpSlice(row, begin, width, KernelKind::kScalar),
+                    1e-5)
+            << "width " << width << " row " << r << " begin " << begin;
+      }
+    }
+  }
+}
+
+// Any SimdLevel without a vector row kernel runs the scalar code itself.
+TEST(RowEpilogue, PortableFallbackIsScalarBitForBit) {
+  SetSimdLevelOverrideForTest(SimdLevel::kNone);
+  Rng rng(31);
+  for (size_t width : kEpilogueWidths) {
+    const Matrix logits = EpilogueLogits(width, &rng);
+    Matrix scalar, simd;
+    SoftmaxRows(logits, &scalar, KernelKind::kScalar);
+    SoftmaxRows(logits, &simd, KernelKind::kSimd);
+    EXPECT_EQ(std::memcmp(scalar.data(), simd.data(),
+                          scalar.size() * sizeof(float)),
+              0)
+        << "width " << width;
+    for (size_t r = 0; r < logits.rows(); ++r) {
+      const double want =
+          LogSumExpSlice(logits.Row(r), 0, width, KernelKind::kScalar);
+      const double got =
+          LogSumExpSlice(logits.Row(r), 0, width, KernelKind::kSimd);
+      EXPECT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
+          << "width " << width << " row " << r;
+    }
+  }
+  ClearSimdLevelOverrideForTest();
 }
 
 TEST(Ops, ReluForwardBackward) {
