@@ -21,24 +21,24 @@ int Run() {
               StrFormat("DMV rows=%zu queries=%zu", env.dmv_rows, queries));
 
   Table table = MakeDmvLike(env.dmv_rows, env.seed);
-  const size_t n = table.num_rows();
+  const double n = static_cast<double>(table.num_rows());
   const Workload test = MakeWorkload(table, queries, env.seed + 1);
   auto model = TrainModel(table, DmvModelConfig(env.seed + 5), env.epochs,
                           "Naru(DMV)");
 
+  constexpr size_t kPaths = 2000;
   std::vector<std::unique_ptr<ErrorReport>> reports;
   for (bool uniform : {false, true}) {
-    for (size_t paths : {size_t{2000}}) {
-      NaruEstimatorConfig ncfg;
-      ncfg.num_samples = paths;
-      ncfg.uniform_region = uniform;
-      ncfg.enumeration_threshold = 0;
-      ncfg.sampler_seed = env.seed + 6;
-      NaruEstimator est(model.get(), ncfg, 0,
-                        StrFormat("%s-%zu", uniform ? "Uniform" : "Progr",
-                                  paths));
-      reports.push_back(std::make_unique<ErrorReport>(est.name()));
-      EvaluateEstimator(&est, test, n, reports.back().get());
+    ProgressiveSamplerConfig scfg;
+    scfg.num_samples = kPaths;
+    scfg.seed = env.seed + 6;
+    scfg.uniform_region = uniform;
+    ProgressiveSampler sampler(model.get(), scfg);
+    reports.push_back(std::make_unique<ErrorReport>(
+        StrFormat("%s-%zu", uniform ? "Uniform" : "Progr", kPaths)));
+    for (size_t i = 0; i < test.queries.size(); ++i) {
+      reports.back()->Add(sampler.EstimateSelectivity(test.queries[i]) * n,
+                          static_cast<double>(test.cards[i]), test.sels[i]);
     }
   }
   std::vector<const ErrorReport*> rows;
@@ -46,11 +46,10 @@ int Run() {
   PrintErrorTable("Errors grouped by true selectivity:", rows);
 
   // Count uniform-sampler zero estimates (the paper's collapse symptom).
-  NaruEstimatorConfig ucfg;
+  ProgressiveSamplerConfig ucfg;
   ucfg.num_samples = 4000;
   ucfg.uniform_region = true;
-  ucfg.enumeration_threshold = 0;
-  NaruEstimator uniform(model.get(), ucfg, 0, "Uniform");
+  ProgressiveSampler uniform(model.get(), ucfg);
   size_t zeros = 0;
   size_t nonzero_truth = 0;
   for (size_t i = 0; i < test.queries.size(); ++i) {

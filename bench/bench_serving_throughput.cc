@@ -19,17 +19,15 @@
 // quarter shares CONSTRAINED leading prefixes (identical equality
 // literals on `--serve-shared-prefix` columns, drawn from a few template
 // tuples) — the two structures hierarchical plan trees (src/plan) fuse.
-// Every engine grid point runs as a two-way PLAN ABLATION: legacy
-// (planning off) and tree (hierarchical prefix forking) — so the
-// tree/legacy speedup is measured directly, and both legs must produce
-// bit-identical estimates.
+// Every engine grid point serves the trace through plan trees and is
+// compared, in the same run, against the sequential baseline.
 //
 // A second phase compares inference KERNELS (tensor/kernel.h) at the
 // largest grid point: scalar vs simd, each with a fresh estimator +
 // engine, reporting qps, q-error quantiles against executed ground truth,
 // and a bit-determinism check across thread counts within each kernel.
 // Emits BENCH_serving_throughput.json (shared schema, row_schema v2: grid
-// rows carry "plan" in {legacy, tree}).
+// rows carry "plan": "tree").
 //
 // Knobs (env or flags, see bench_common.h):
 //   --kernel K          kernel for the GRID phase: scalar|simd (default
@@ -46,9 +44,9 @@
 //   --group-width W     plan fork fan-out cap: auto (width-aware, the
 //                       default) or a fixed positive integer
 //   --smoke             CI preset: tiny model/trace, single grid point;
-//                       exits nonzero if any planned leg's estimates
-//                       diverge from the sequential (or legacy) path, or if
-//                       a kernel is non-deterministic across thread counts
+//                       exits nonzero if any engine run's estimates
+//                       diverge from the sequential path, or if a kernel
+//                       is non-deterministic across thread counts
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -86,7 +84,7 @@ int Run() {
           : static_cast<size_t>(std::clamp<int64_t>(
                 GetEnvInt("NARU_GROUP_WIDTH", 0), 1, 4096));
   PrintBanner(
-      "Serving throughput: tree vs legacy engine vs sequential",
+      "Serving throughput: planned engine vs sequential",
       StrFormat("rows=%zu requests=%zu unique=%zu samples=%zu "
                 "prefix-wildcards=%zu shared-prefix=%zu group-width=%s "
                 "kernel=%s (%s)%s",
@@ -204,23 +202,14 @@ int Run() {
   json.SetConfig("row_schema", "v2");
   json.SetConfig("group_width", width_str);
 
-  // One ablation leg per grid point: planning off, or hierarchical trees.
-  struct PlanLeg {
-    const char* name;
-    bool planned;
-  };
-  const PlanLeg kLegs[] = {{"legacy", false}, {"tree", true}};
-  const PlanLeg& tree_leg = kLegs[1];
-
   // Runs the whole trace through a fresh engine; returns qps, fills
   // per-request estimates. Every result must come back OK — nothing here
   // carries a deadline.
   auto run_trace = [&](NaruEstimator* e, size_t threads, size_t batch,
-                       const PlanLeg& leg, std::vector<double>* results,
+                       std::vector<double>* results,
                        EngineStats* stats_out) -> double {
     InferenceEngineConfig ecfg;
     ecfg.num_threads = threads;
-    ecfg.enable_plan = leg.planned;
     ecfg.group_width = group_width;
     InferenceEngine engine(ecfg);  // fresh engine: caches start cold
     results->assign(trace.size(), 0.0);
@@ -244,55 +233,50 @@ int Run() {
                               : 0.0;
   };
 
-  double headline_tree = 0;    // largest threads x largest batch, trees
-  double headline_legacy = 0;  // same point, planning disabled
+  double headline_tree = 0;  // largest threads x largest batch
   bool all_identical = true;
 
   for (size_t threads : thread_grid) {
     for (size_t batch : batch_grid) {
-      for (const PlanLeg& leg : kLegs) {
-        // Typed serving surface: default-option requests are required to
-        // be bit-identical to the sequential path. Best-of-3 per leg: each
-        // rep runs a fresh (cold) engine, so the max measures the engine,
-        // not the scheduler's worst interruption.
-        std::vector<double> results;
-        EngineStats stats;
-        double qps = 0.0;
-        for (int rep = 0; rep < 3; ++rep) {
-          qps = std::max(
-              qps, run_trace(&est, threads, batch, leg, &results, &stats));
-          if (results != reference) all_identical = false;
-        }
-        if (threads == thread_grid.back() && batch == batch_grid.back()) {
-          (leg.planned ? headline_tree : headline_legacy) = qps;
-        }
-
-        std::printf("%8zu %6zu %6s %10.1f %9.2fx %9zu %9zu %6zu %6.3f %5zu\n",
-                    threads, batch, leg.name, qps,
-                    baseline_qps > 0 ? qps / baseline_qps : 0.0,
-                    stats.memo_hits, stats.sampled, stats.plan_trees,
-                    stats.prefix_share_ratio(), stats.plan_max_depth);
-        json.AddRow({{"phase", "grid"},
-                     {"threads", threads},
-                     {"batch", batch},
-                     {"plan", leg.name},
-                     {"qps", qps},
-                     {"speedup_vs_sequential",
-                      baseline_qps > 0 ? qps / baseline_qps : 0.0}});
+      // Typed serving surface: default-option requests are required to be
+      // bit-identical to the sequential path. Best-of-3: each rep runs a
+      // fresh (cold) engine, so the max measures the engine, not the
+      // scheduler's worst interruption.
+      std::vector<double> results;
+      EngineStats stats;
+      double qps = 0.0;
+      for (int rep = 0; rep < 3; ++rep) {
+        qps = std::max(qps, run_trace(&est, threads, batch, &results, &stats));
+        if (results != reference) all_identical = false;
       }
+      if (threads == thread_grid.back() && batch == batch_grid.back()) {
+        headline_tree = qps;
+      }
+
+      std::printf("%8zu %6zu %6s %10.1f %9.2fx %9zu %9zu %6zu %6.3f %5zu\n",
+                  threads, batch, "tree", qps,
+                  baseline_qps > 0 ? qps / baseline_qps : 0.0,
+                  stats.memo_hits, stats.sampled, stats.plan_trees,
+                  stats.prefix_share_ratio(), stats.plan_max_depth);
+      json.AddRow({{"phase", "grid"},
+                   {"threads", threads},
+                   {"batch", batch},
+                   {"plan", "tree"},
+                   {"qps", qps},
+                   {"speedup_vs_sequential",
+                    baseline_qps > 0 ? qps / baseline_qps : 0.0}});
     }
   }
 
   std::printf("\nestimates bit-identical across all configurations: %s\n",
               all_identical ? "yes" : "NO (BUG)");
-  if (headline_legacy > 0 && headline_tree > 0) {
-    std::printf(
-        "headline: tree vs legacy at threads=%zu/batch=%zu = %.2fx "
-        "(tree %.2fx, legacy %.2fx over sequential)\n",
-        thread_grid.back(), batch_grid.back(), headline_tree / headline_legacy,
-        baseline_qps > 0 ? headline_tree / baseline_qps : 0.0,
-        baseline_qps > 0 ? headline_legacy / baseline_qps : 0.0);
-    json.SetConfig("headline_tree_vs_legacy", headline_tree / headline_legacy);
+  if (baseline_qps > 0 && headline_tree > 0) {
+    std::printf("headline: tree vs sequential at threads=%zu/batch=%zu = "
+                "%.2fx\n",
+                thread_grid.back(), batch_grid.back(),
+                headline_tree / baseline_qps);
+    json.SetConfig("headline_tree_vs_sequential",
+                   headline_tree / baseline_qps);
   }
 
   // --- Kernel comparison at the largest grid point ---------------------
@@ -320,11 +304,11 @@ int Run() {
 
     std::vector<double> results, results_alt;
     const double qps =
-        run_trace(&kest, kthreads, kbatch, tree_leg, &results, nullptr);
+        run_trace(&kest, kthreads, kbatch, &results, nullptr);
     // Determinism contract: a different thread count must not change a
     // single bit of any estimate under the same kernel.
     const size_t alt_threads = kthreads > 2 ? 2 : kthreads + 1;
-    run_trace(&kest, alt_threads, kbatch, tree_leg, &results_alt, nullptr);
+    run_trace(&kest, alt_threads, kbatch, &results_alt, nullptr);
     const bool deterministic = results == results_alt;
     if (!deterministic) kernels_ok = false;
 

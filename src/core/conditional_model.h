@@ -3,8 +3,9 @@
 // Any model that can produce P̂(X_i | x_<i) plugs into the sampler (§3.2,
 // Eq. 1): the learned MADE network (architecture B), the per-column
 // aggregation network (architecture A), or the scanning Oracle used for the
-// §6.7 microbenchmarks. The sampler drives a SamplingSession so stateful
-// models (the Oracle's shrinking row lists) can serve columns incrementally.
+// §6.7 microbenchmarks. The sampler drives a SamplingSession so models can
+// reuse work across a walk's columns (MADE's hidden units, the Oracle's
+// filtered row lists) while every session stays pure.
 #pragma once
 
 #include <memory>
@@ -16,12 +17,25 @@
 
 namespace naru {
 
-/// A per-query stateful cursor over the model's conditionals.
+/// A cursor over the model's conditionals.
 ///
-/// The sampler calls Dist with col = 0, 1, ..., in increasing order; before
-/// the call for column c, samples(r, j) holds the sampled code of column j
-/// for every j < c and every path r. Dist fills probs (batch x domain(col))
-/// with P̂(X_col = v | samples_<col>) for each path row.
+/// Dist fills probs (samples.rows() x domain(col)) with
+/// P̂(X_col = v | samples_<col>) for each row of `samples`; columns >= col
+/// are ignored.
+///
+/// PURITY CONTRACT. Every session is pure: Dist(samples, col) is a
+/// function of its arguments alone. It may be called at any column without
+/// prior calls, in any column order, with any row count (the batch passed
+/// to StartSession is only a hint), and each output row depends only on
+/// that row's prefix codes, bit for bit. Rows from unrelated walks may
+/// therefore be stacked into one matrix and evaluated in one call. The
+/// sampling-plan executor (src/plan) relies on this for prefix forking
+/// (a walk's block is duplicated or retired between columns) and for
+/// cross-query fusion (one stacked call per column for a plan tree's whole
+/// frontier). A session may reuse work across calls only when every reuse
+/// is keyed by, and checked against, the row's prefix codes: MADE caches
+/// hidden units and the Oracle caches filtered row lists that way, so a
+/// relayout only costs cache misses.
 class SamplingSession {
  public:
   virtual ~SamplingSession() = default;
@@ -109,8 +123,9 @@ class ConditionalModel {
   virtual void LogProbRows(const IntMatrix& tuples,
                            std::vector<double>* out_nats);
 
-  /// Starts a sampling cursor; the default session forwards to
-  /// ConditionalDist.
+  /// Starts a sampling cursor (see SamplingSession for the purity contract
+  /// every session keeps); the default session forwards to
+  /// ConditionalDist, which must then be row-independent.
   virtual std::unique_ptr<SamplingSession> StartSession(size_t batch);
 
   /// True when independently started sessions may run Dist concurrently
@@ -132,22 +147,10 @@ class ConditionalModel {
   virtual void SetInferenceKernel(KernelKind kernel) { (void)kernel; }
   virtual KernelKind inference_kernel() const { return KernelKind::kScalar; }
 
-  /// True when this model's sampling sessions are PURE: Dist(samples, col)
-  /// is a function of its arguments alone — callable at any column without
-  /// prior calls, with any row count, and row-independent, so rows from
-  /// unrelated walks may be stacked into one matrix and evaluated in one
-  /// call with per-row results bit-identical to evaluating each walk
-  /// separately. This is the contract the sampling-plan executor
-  /// (src/plan) relies on for both prefix forking (resume a walk at column
-  /// L through a fresh session) and cross-query GEMM fusion (one stacked
-  /// forward pass for a plan tree's whole frontier). Models whose sessions
-  /// recompute from the prefix (the transformer) declare this, and so may
-  /// sessions that reuse per-row state as long as every reuse is keyed by
-  /// and verified against the row's prefix codes (MADE caches its hidden
-  /// units that way, so relayouts only cost cache misses). Models whose
-  /// session state is not recoverable from the prefix (the Oracle's
-  /// shrinking row lists) must not.
-  virtual bool SupportsStackedEvaluation() const { return false; }
+  /// Every session is pure (see SamplingSession), so every model supports
+  /// stacked evaluation and nothing in src/ branches on this. It remains
+  /// only because perfbench's TracedModel (perfbench/src) overrides it.
+  virtual bool SupportsStackedEvaluation() const { return true; }
 
   /// Dominant GEMM inner width of the stacked inference path (the widest
   /// hidden layer a stacked Dist call multiplies through). The plan

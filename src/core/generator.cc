@@ -1,20 +1,34 @@
 #include "core/generator.h"
 
 #include <algorithm>
-#include <cmath>
 
+#include "core/sampler.h"
 #include "util/macros.h"
 
 namespace naru {
 
 namespace {
+
 constexpr size_t kChunk = 512;
+
+// Every table column unconstrained. A column's domain is the product of
+// its positions' domains: the code space an unconditional walk draws from.
+Query AllWildcardQuery(const ConditionalModel* model) {
+  NARU_CHECK(model != nullptr);
+  std::vector<size_t> domains(model->num_table_columns(), 1);
+  for (size_t pos = 0; pos < model->num_columns(); ++pos) {
+    domains[model->TableColumnOf(pos)] *= model->DomainSize(pos);
+  }
+  std::vector<ValueSet> regions;
+  regions.reserve(domains.size());
+  for (size_t d : domains) regions.push_back(ValueSet::All(d));
+  return Query(std::move(regions));
+}
+
 }  // namespace
 
 TupleGenerator::TupleGenerator(ConditionalModel* model, uint64_t seed)
-    : model_(model), rng_(seed) {
-  NARU_CHECK(model_ != nullptr);
-}
+    : model_(model), all_wildcard_(AllWildcardQuery(model)), rng_(seed) {}
 
 void TupleGenerator::WalkChunk(const Query* query, size_t chunk,
                                IntMatrix* tuples,
@@ -24,33 +38,19 @@ void TupleGenerator::WalkChunk(const Query* query, size_t chunk,
   samples_.Fill(0);
   weights->assign(chunk, 1.0);
   std::vector<uint8_t> alive(chunk, 1);
+  // An unconditional walk draws every position from its full conditional,
+  // so no path dies and the all-wildcard query is never consulted.
+  const Query& region = query != nullptr ? *query : all_wildcard_;
 
   auto session = model_->StartSession(chunk);
   for (size_t pos = 0; pos < n; ++pos) {
-    const bool constrained =
-        query != nullptr && !model_->PositionIsWildcard(*query, pos);
+    const bool wildcard =
+        query == nullptr || model_->PositionIsWildcard(*query, pos);
     session->Dist(samples_, pos, &probs_);
-    const size_t d = model_->DomainSize(pos);
-    for (size_t r = 0; r < chunk; ++r) {
-      float* row = probs_.Row(r);
-      if (!alive[r]) {
-        samples_.At(r, pos) =
-            query ? model_->FallbackCode(*query, pos) : 0;
-        continue;
-      }
-      if (constrained) {
-        const double mass =
-            model_->MaskProbsToRegion(*query, samples_.Row(r), pos, row);
-        if (!(mass > 0.0) || !std::isfinite(mass)) {
-          (*weights)[r] = 0.0;
-          alive[r] = 0;
-          samples_.At(r, pos) = model_->FallbackCode(*query, pos);
-          continue;
-        }
-        (*weights)[r] *= std::min(mass, 1.0);
-      }
-      samples_.At(r, pos) = static_cast<int32_t>(rng_.Categorical(row, d));
-    }
+    SamplerColumnStep(model_, region, pos, wildcard,
+                      SamplerRowBlock{&samples_, &probs_, weights->data(),
+                                      alive.data(), /*row_offset=*/0, chunk},
+                      &rng_);
   }
 
   // Emit in table order (sub-column layouts re-join here).

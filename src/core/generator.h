@@ -58,6 +58,7 @@ class TupleGenerator {
                  std::vector<double>* weights);
 
   ConditionalModel* model_;
+  Query all_wildcard_;  // the region of an unconditional walk
   Rng rng_;
   IntMatrix samples_;  // model-position order workspace
   Matrix probs_;

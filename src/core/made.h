@@ -95,9 +95,6 @@ class MadeModel : public ConditionalModel, public TrainableModel {
     inference_kernel_ = kernel;
   }
   KernelKind inference_kernel() const override { return inference_kernel_; }
-  /// Session state is a cache keyed by, and verified against, each row's
-  /// prefix codes, so Dist is still a pure function of (samples, col).
-  bool SupportsStackedEvaluation() const override { return true; }
   /// The widest hidden layer dominates the stacked GEMM chain (linear
   /// MADE: no hidden GEMMs, leave the hint unknown).
   size_t StackedWidthHint() const override {

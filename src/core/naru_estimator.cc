@@ -19,7 +19,6 @@ NaruEstimator::NaruEstimator(ConditionalModel* model,
                    .num_samples = config.num_samples,
                    .shard_size = config.shard_size,
                    .seed = config.sampler_seed,
-                   .uniform_region = config.uniform_region,
                }),
       model_size_bytes_(model_size_bytes),
       name_(name.empty() ? StrFormat("Naru-%zu", config.num_samples)

@@ -34,8 +34,6 @@ struct NaruEstimatorConfig {
   /// Part of the RNG-stream contract: changing it changes every sampled
   /// estimate for a given seed, so it participates in serving memo keys.
   size_t shard_size = 128;
-  /// Use the §5.1 uniform-region strawman (ablation only).
-  bool uniform_region = false;
   /// Kernel family for the model's inference forward passes (tensor layer;
   /// see kernel.h). Applied to the wrapped model at construction. Scalar is
   /// the bit-stable default; simd trades bit-compatibility with scalar for

@@ -11,7 +11,10 @@
 // Sampling sessions group paths that share an identical sampled prefix, so
 // matching-row lists are filtered once per distinct prefix instead of once
 // per path; groups are disjoint row subsets, keeping each column's total
-// filtering cost O(rows).
+// filtering cost O(rows). Groups are keyed by the prefix codes and every
+// hit is checked against them, so sessions are pure (see
+// ConditionalModel) and the Oracle is served through sampling plans like
+// every other model.
 #pragma once
 
 #include <memory>
@@ -39,7 +42,7 @@ class OracleModel : public ConditionalModel {
 
   std::unique_ptr<SamplingSession> StartSession(size_t batch) override;
 
-  /// Sessions keep private path-group state and only read the table.
+  /// Sessions keep private prefix-group caches and only read the table.
   bool SupportsConcurrentSampling() const override { return true; }
 
   double smoothing_lambda() const { return lambda_; }

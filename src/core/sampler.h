@@ -61,11 +61,11 @@ struct SamplerWorkspace {
   std::vector<uint8_t> spare_alive;  ///< layout-rebuild target for alive
 };
 
-/// Thread-safe free-list of SamplerWorkspaces. One pool can back many
-/// samplers: the serving engine shares a single pool across every query of
-/// a batch (and the async dispatcher across every micro-batch), so the
-/// number of live workspaces tracks the number of concurrently running
-/// shards, not the number of queries served.
+/// Thread-safe free-list of SamplerWorkspaces. The serving engine shares
+/// one pool across every plan it executes (and the async dispatcher across
+/// every micro-batch), so the number of live workspaces tracks the number
+/// of concurrently running (tree, shard) tasks, not the number of queries
+/// served.
 class SamplerWorkspacePool {
  public:
   /// Leases a workspace (creating one if the free list is empty). Return it
@@ -156,18 +156,13 @@ struct ProgressiveSamplerConfig {
   /// other value = spread shards across `thread_pool`. Only consulted when
   /// the model supports concurrent sampling; results never depend on it.
   size_t parallelism = 0;
-  /// Pool for shard execution (nullptr = the process-global pool). The
-  /// serving engine injects its own sized pool here.
+  /// Pool for shard execution (nullptr = the process-global pool).
   ThreadPool* thread_pool = nullptr;
 };
 
 class ProgressiveSampler {
  public:
-  /// `workspaces` may be nullptr (the sampler then uses a private pool) or
-  /// a shared pool, e.g. the serving engine's, so concurrent queries reuse
-  /// one set of buffers.
-  ProgressiveSampler(ConditionalModel* model, ProgressiveSamplerConfig cfg,
-                     SamplerWorkspacePool* workspaces = nullptr);
+  ProgressiveSampler(ConditionalModel* model, ProgressiveSamplerConfig cfg);
 
   /// Unbiased estimate of the query's selectivity.
   double EstimateSelectivity(const Query& query);
@@ -179,19 +174,8 @@ class ProgressiveSampler {
   /// optimizer can use to decide whether to spend more sample paths.
   double EstimateWithStdError(const Query& query, double* std_error);
 
-  /// Per-call overrides for the serving engine. The execution fields
-  /// (parallelism, thread_pool, workspaces) affect only WHERE the work
-  /// runs, never the estimate; num_samples is the one VALUE override —
-  /// it changes how many paths are walked, i.e. what is computed.
+  /// Per-request overrides (NaruEstimator::Estimate's EstimateOptions).
   struct RunOptions {
-    /// 0 = inherit config; 1 = serial on the calling thread (the engine
-    /// uses this when it already runs one query per worker).
-    size_t parallelism = 0;
-    /// nullptr = inherit config (the engine injects its sized pool).
-    ThreadPool* thread_pool = nullptr;
-    /// nullptr = the sampler's own pool (the engine shares one pool across
-    /// all queries of a batch).
-    SamplerWorkspacePool* workspaces = nullptr;
     /// Per-call sample-path budget: 0 = inherit config. A nonzero value
     /// serves this call with that many paths — bit-identical to a sampler
     /// configured with the same num_samples (the shard layout and RNG
@@ -213,8 +197,7 @@ class ProgressiveSampler {
     bool* abandoned = nullptr;
   };
 
-  /// As EstimateWithStdError with per-call execution overrides. Estimates
-  /// are identical for any options.
+  /// As EstimateWithStdError with a per-call budget and deadline.
   double EstimateWithOptions(const Query& query, double* std_error,
                              const RunOptions& options);
 
@@ -262,8 +245,7 @@ class ProgressiveSampler {
 
   ConditionalModel* model_;
   ProgressiveSamplerConfig cfg_;
-  SamplerWorkspacePool own_workspaces_;
-  SamplerWorkspacePool* workspaces_;  // external or &own_workspaces_
+  SamplerWorkspacePool workspaces_;
 };
 
 }  // namespace naru

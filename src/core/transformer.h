@@ -83,9 +83,6 @@ class TransformerModel : public ConditionalModel, public TrainableModel {
   /// Sessions own an EvalContext each, so they can run concurrently.
   std::unique_ptr<SamplingSession> StartSession(size_t batch) override;
   bool SupportsConcurrentSampling() const override { return true; }
-  /// Sessions route through ConditionalDistWith, a pure function of
-  /// (samples, col) — see ConditionalDistWith above.
-  bool SupportsStackedEvaluation() const override { return true; }
   /// The widest GEMM in the stacked chain is the FFN inner layer (or the
   /// d_model-wide projections when ffn_hidden is smaller).
   size_t StackedWidthHint() const override {

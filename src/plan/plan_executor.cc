@@ -175,7 +175,6 @@ void ExecuteSamplingPlan(ConditionalModel* model, const SamplingPlan& plan,
                          std::vector<double>* estimates,
                          std::vector<double>* std_errors,
                          std::vector<Status>* statuses) {
-  NARU_CHECK(model->SupportsStackedEvaluation());
   NARU_CHECK(options.num_samples >= 1);
   NARU_CHECK(options.shard_size >= 1);
   const size_t m = plan.queries.size();

@@ -18,9 +18,9 @@
 //      post-segment RNG state. Deeper shared segments then continue —
 //      multi-depth sharing.
 //   3. At every column, ONE stacked model evaluation covers every live
-//      branch (the cross-query GEMM fusion; requires
-//      ConditionalModel::SupportsStackedEvaluation), then each branch's
-//      block runs the shared SamplerColumnStep kernel with its own RNG.
+//      branch (the cross-query GEMM fusion; sound because every session is
+//      pure, see SamplingSession), then each branch's block runs the
+//      shared SamplerColumnStep kernel with its own RNG.
 //
 // Determinism: per member query, the draws consumed and the arithmetic
 // applied are those of ProgressiveSampler's sequential shard walk — forks
@@ -65,8 +65,8 @@ struct PlanExecutionOptions {
 /// selectivity estimate for plan.queries[i] — bit-identical to
 /// ProgressiveSampler::EstimateWithStdError under the same
 /// (num_samples, shard_size, seed). `std_errors` (optional) receives the
-/// matching Monte Carlo standard errors. Requires
-/// model->SupportsStackedEvaluation().
+/// matching Monte Carlo standard errors. Serves every model: sessions are
+/// pure (SamplingSession).
 ///
 /// Mid-walk abandonment: a tree whose abandon_deadline (the latest
 /// member deadline) has passed is given up BETWEEN column steps — never

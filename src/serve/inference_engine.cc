@@ -44,11 +44,10 @@ std::string MemoPrefix(const NaruEstimatorConfig& cfg, size_t eff_samples) {
   // sampled estimates. The kernel is part of the key because simd
   // estimates are not bit-identical to scalar ones; its enum value is what
   // is written, so keys stay stable as long as KernelKind values do.
-  return StrFormat("%zu|%zu|%llu|%zu|%d|%d|", eff_samples,
+  return StrFormat("%zu|%zu|%llu|%zu|%d|", eff_samples,
                    cfg.enumeration_threshold,
                    static_cast<unsigned long long>(cfg.sampler_seed),
-                   cfg.shard_size, cfg.uniform_region ? 1 : 0,
-                   static_cast<int>(cfg.kernel));
+                   cfg.shard_size, static_cast<int>(cfg.kernel));
 }
 
 double ElapsedMs(std::chrono::steady_clock::time_point since) {
@@ -227,7 +226,6 @@ void InferenceEngine::EstimateBatch(NaruEstimator* est,
   // A caller-established serial region wins over the engine's own thread
   // configuration — the same coarser-grain-wins rule the sampler follows.
   ThreadPool* p = ScopedSerialRegion::Active() ? nullptr : pool();
-  const bool concurrent = est->model()->SupportsConcurrentSampling();
 
   // ONE keyed pass over the batch: each request's full memo key — the
   // config/budget prefix plus the canonical query bytes — is built
@@ -305,76 +303,37 @@ void InferenceEngine::EstimateBatch(NaruEstimator* est,
   const size_t m = reps.size();
 
   // The distinct-request compute. The representative's cache policy
-  // governs the computation; duplicates only copy its result.
+  // governs the computation; duplicates only copy its result. Every
+  // distinct request first resolves through the exact fast paths (memo,
+  // empty, enumeration, wildcard exits, leading-only); the sampled
+  // remainder compiles into ONE SamplingPlan for the whole batch — queries
+  // grouped by shared prefix WITHIN each budget class, one prefix walk per
+  // (shard, group), per-column model evaluations stacked across each
+  // tree's frontier.
   const auto run_reps = [&] {
-    // Planned route: resolve every distinct request through the exact
-    // fast paths (memo, empty, enumeration, wildcard exits,
-    // leading-only), then compile the sampled remainder into ONE
-    // SamplingPlan for the whole batch — queries grouped by shared
-    // leading-wildcard prefix WITHIN each budget class, one prefix walk
-    // per (shard, group), per-column forward passes fused into stacked
-    // GEMMs. Requires pure stackable sessions; the uniform-region
-    // strawman takes none of the walk structure the plan exploits.
-    if (cfg_.enable_plan && est->model()->SupportsStackedEvaluation() &&
-        !est->sampler()->config().uniform_region) {
-      std::vector<SampledRep> sampled;
-      for (size_t k = 0; k < m; ++k) {
-        const size_t i = reps[k];
-        // Phase attribution: a rep resolved here (cache hit, shortcut,
-        // enumeration) is charged ONLY its own resolution time — never
-        // the batch's sampling segment. That is the headline fix: a
-        // cache hit used to report the whole batch's walk time.
-        const auto resolve_start = std::chrono::steady_clock::now();
-        if (ResolveBeforeSampling(est, requests[i].query, keys[i],
-                                  requests[i].options.cache_policy,
-                                  rep_deadline[i], &(*out)[i])) {
-          (*out)[i].compute_ms = ElapsedMs(resolve_start);
-        } else {
-          SampledRep rep;
-          rep.index = i;
-          rep.memo_key = keys[i];
-          rep.budget = eff[i];
-          rep.policy = requests[i].options.cache_policy;
-          rep.deadline = rep_deadline[i];
-          rep.resolve_ms = ElapsedMs(resolve_start);
-          sampled.push_back(std::move(rep));
-        }
-      }
-      EstimatePlanned(est, requests, sampled, p, out);
-      return;
-    }
-
-    // Legacy route (models without stackable sessions, uniform-region, or
-    // enable_plan off): the schedule is chosen on the COALESCED width — a
-    // batch of 64 requests over 2 distinct templates is 2 queries' worth
-    // of work and should shard each walk across the pool, not park it on
-    // 2 of N workers.
-    if (p != nullptr && concurrent && m >= p->num_threads() && m > 1) {
-      // Wide batches: one distinct query per worker, sampler serial
-      // within a query. Queries are independent and every cached value is
-      // exact, so the schedule cannot affect results.
-      p->ParallelFor(
-          0, m,
-          [&](size_t lo, size_t hi) {
-            ScopedSerialRegion serial;
-            for (size_t k = lo; k < hi; ++k) {
-              const size_t i = reps[k];
-              EstimateOne(est, requests[i].query, keys[i], eff[i],
-                          requests[i].options.cache_policy, rep_deadline[i],
-                          /*sampler_parallelism=*/1,
-                          /*sampler_pool=*/nullptr, &(*out)[i]);
-            }
-          },
-          /*min_chunk=*/1);
-    } else {
-      for (size_t k = 0; k < m; ++k) {
-        const size_t i = reps[k];
-        EstimateOne(est, requests[i].query, keys[i], eff[i],
-                    requests[i].options.cache_policy, rep_deadline[i],
-                    /*sampler_parallelism=*/p == nullptr ? 1 : 0,
-                    /*sampler_pool=*/p, &(*out)[i]);
+    std::vector<SampledRep> sampled;
+    for (size_t k = 0; k < m; ++k) {
+      const size_t i = reps[k];
+      // Phase attribution: a rep resolved here (cache hit, shortcut,
+      // enumeration) is charged ONLY its own resolution time — never the
+      // batch's sampling segment.
+      const auto resolve_start = std::chrono::steady_clock::now();
+      if (ResolveBeforeSampling(est, requests[i].query, keys[i],
+                                requests[i].options.cache_policy,
+                                rep_deadline[i], &(*out)[i])) {
+        (*out)[i].compute_ms = ElapsedMs(resolve_start);
+      } else {
+        SampledRep rep;
+        rep.index = i;
+        rep.memo_key = keys[i];
+        rep.budget = eff[i];
+        rep.policy = requests[i].options.cache_policy;
+        rep.deadline = rep_deadline[i];
+        rep.resolve_ms = ElapsedMs(resolve_start);
+        sampled.push_back(std::move(rep));
       }
     }
+    EstimatePlanned(est, requests, sampled, p, out);
   };
   if (p == nullptr) {
     // Strictly serial: one serial region over the whole batch keeps every
@@ -534,58 +493,6 @@ bool InferenceEngine::ResolveBeforeSampling(
         memo_key, result->estimate, cfg_.cache_budget_bytes);
   }
   return true;
-}
-
-void InferenceEngine::EstimateOne(NaruEstimator* est, const Query& query,
-                                  const std::string& memo_key,
-                                  size_t eff_samples, CachePolicy cache_policy,
-                                  std::chrono::steady_clock::time_point deadline,
-                                  size_t sampler_parallelism,
-                                  ThreadPool* sampler_pool,
-                                  EstimateResult* result) {
-  // Per-request attribution: this call's own wall time is the request's
-  // compute_ms — a memo hit reports its lookup, a walk its sampling.
-  const auto start = std::chrono::steady_clock::now();
-  if (ResolveBeforeSampling(est, query, memo_key, cache_policy, deadline,
-                            result)) {
-    result->compute_ms = ElapsedMs(start);
-    return;
-  }
-
-  ProgressiveSampler::RunOptions options;
-  options.parallelism = sampler_parallelism;
-  options.thread_pool = sampler_pool;
-  options.workspaces = &workspaces_;
-  options.num_samples = eff_samples;
-  // Mid-walk abandonment: the sampler re-checks `deadline` between
-  // column steps. It is the latest deadline over every request coalesced
-  // into this computation, so abandonment means every one of them had
-  // expired.
-  bool abandoned = false;
-  options.deadline = deadline;
-  options.abandoned = &abandoned;
-  result->estimate =
-      est->sampler()->EstimateWithOptions(query, &result->std_error, options);
-  if (abandoned) {
-    result->estimate = std::numeric_limits<double>::quiet_NaN();
-    result->std_error = 0.0;
-    result->status = Status::DeadlineExceeded("deadline expired mid-walk");
-    result->provenance = ResultProvenance::kShed;
-    result->samples_used = 0;
-    result->compute_ms = ElapsedMs(start);  // the burn before abandoning
-    MutexLock lock(&mu_);
-    ++stats_.shed_midwalk;  // never memoized: there is no value to store
-    return;
-  }
-  result->provenance = ResultProvenance::kSampled;
-  result->samples_used = eff_samples;
-  result->compute_ms = ElapsedMs(start);
-  MutexLock lock(&mu_);
-  ++stats_.sampled;
-  if (cfg_.enable_cache && cache_policy == CachePolicy::kReadWrite) {
-    stats_.memo_evictions += caches_[est->model()].result_memo.Insert(
-        memo_key, result->estimate, cfg_.cache_budget_bytes);
-  }
 }
 
 void InferenceEngine::EstimatePlanned(

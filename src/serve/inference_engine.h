@@ -3,11 +3,11 @@
 // The sequential path (NaruEstimator::EstimateSelectivity) answers one
 // query at a time; this engine serves *batches*: queries against the same
 // ConditionalModel share one SamplerWorkspace pool, exact-result caches,
-// and a thread pool that either spreads whole queries across workers (large
-// batches) or shards one query's sample paths (small batches). Everything
-// the engine caches is exact and deterministic — empty regions, trailing-
-// wildcard early exits, masked first-column marginal masses keyed on the
-// masked region, and full-query memo entries — so for a fixed sampler seed
+// and one SamplingPlan (src/plan) per batch whose (tree, shard) tasks
+// spread across a thread pool. Everything the engine caches is exact and
+// deterministic — empty regions, trailing-wildcard early exits, masked
+// first-column marginal masses keyed on the masked region, and
+// full-query memo entries — so for a fixed sampler seed
 // a batched estimate is bit-identical to the sequential one, regardless of
 // batch size, thread count, or cache eviction history.
 //
@@ -62,14 +62,6 @@ struct InferenceEngineConfig {
   /// never change an estimate — a re-asked query recomputes to the
   /// bit-identical value through the deterministic sampler.
   size_t cache_budget_bytes = 4 * 1024 * 1024;
-  /// Compile each batch's sampled queries into a SamplingPlan (src/plan):
-  /// queries compiled into prefix-forking plan trees, one walk per shared
-  /// segment per shard, per-column model evaluations fused into stacked
-  /// GEMMs across the tree's frontier. Only taken for models whose
-  /// sessions support stacked evaluation (MADE, the transformer, and
-  /// wrappers); estimates are bit-identical either way, so this is purely
-  /// an execution strategy switch (kept as a flag for A/B benchmarking).
-  bool enable_plan = true;
   /// Fork fan-out cap per plan tree: 0 = auto-tuned per batch from the
   /// model's StackedWidthHint, its active inference kernel, and the
   /// sampler's shard size (AutoGroupWidth, plan/sampling_plan.h); a
@@ -168,6 +160,8 @@ struct EngineStats {
   size_t results_cache_hit = 0;
   size_t results_exact = 0;
   size_t results_enumerated = 0;
+  /// Always 0: the engine serves every walk through a plan
+  /// (results_planned). Kept because perfbench reads it.
   size_t results_sampled = 0;
   size_t results_planned = 0;
   size_t results_shed = 0;
@@ -246,31 +240,11 @@ class InferenceEngine {
     LruResultCache leading_mass;
   };
 
-  /// One query, mirroring NaruEstimator::EstimateSelectivity exactly:
-  /// empty region, enumeration policy, trailing-wildcard exit, leading-only
-  /// marginal, then the sharded sampler with `sampler_parallelism` on
-  /// `sampler_pool` (nullptr = the sampler's configured pool).
-  /// `memo_key` is the batch-hoisted full cache key (config prefix +
-  /// canonical query bytes); `eff_samples` the request's effective sample
-  /// budget; `deadline` the computation's mid-walk abandonment instant
-  /// (the LATEST deadline over every request coalesced into it;
-  /// time_point::max() = never abandon). Fills *result (estimate, status,
-  /// std_error, provenance, samples_used, compute_ms — this call's own
-  /// wall time, the per-request attribution the whole-batch stamp used to
-  /// get wrong).
-  void EstimateOne(NaruEstimator* est, const Query& query,
-                   const std::string& memo_key, size_t eff_samples,
-                   CachePolicy cache_policy,
-                   std::chrono::steady_clock::time_point deadline,
-                   size_t sampler_parallelism, ThreadPool* sampler_pool,
-                   EstimateResult* result);
-
-  /// Every routing step of EstimateOne short of the sampled walk: memo
-  /// lookup, empty region, enumeration, trailing-wildcard exit,
+  /// Every routing step of NaruEstimator::Estimate short of the sampled
+  /// walk: memo lookup, empty region, enumeration, trailing-wildcard exit,
   /// leading-only marginal. Returns true with *result filled when the
   /// query resolved; false when it needs a progressive-sampling walk.
-  /// Shared by EstimateOne and the planned batch path so the routing
-  /// policy cannot diverge between them. `deadline` is the computation's
+  /// `deadline` is the computation's
   /// abandonment instant (max over coalesced duplicates): exact
   /// enumeration re-checks it between LogProbRows batches and resolves to
   /// a typed DEADLINE_EXCEEDED shed (counted in shed_midwalk, never

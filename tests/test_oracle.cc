@@ -1,8 +1,11 @@
-// Tests for the oracle conditional model: exactness, session/stateless
-// agreement, smoothing-induced entropy gaps (Figure 7 machinery).
+// Tests for the oracle conditional model: exactness, session purity,
+// smoothing-induced entropy gaps (Figure 7 machinery).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "core/oracle_model.h"
 #include "core/sampler.h"
@@ -10,6 +13,7 @@
 #include "data/table_stats.h"
 #include "query/executor.h"
 #include "query/workload.h"
+#include "util/random.h"
 
 namespace naru {
 namespace {
@@ -39,30 +43,95 @@ TEST(Oracle, ConditionalMatchesCounts) {
   EXPECT_NEAR(probs.At(0, 1), 1.0f, 1e-6);
 }
 
-TEST(Oracle, SessionAgreesWithStateless) {
-  Table t = MakeRandomTable(500, {4, 6, 5}, 19);
-  OracleModel oracle(&t);
-
-  // Fix a batch of prefixes drawn from real rows so every prefix has
-  // support; compare incremental session output to the stateless scan.
-  const size_t batch = 16;
-  IntMatrix samples(batch, 3);
-  for (size_t r = 0; r < batch; ++r) {
-    t.GetRowCodes(r * 7 % t.num_rows(), samples.Row(r));
+// Session output must be the scan reference, bit for bit, whatever the
+// session saw before: the plan executor forks (duplicates), retires
+// (drops) and restacks rows between columns and restarts walks on one
+// session.
+void ExpectSessionIsScan(OracleModel* oracle, SamplingSession* session,
+                         const IntMatrix& samples, size_t col,
+                         const std::string& where) {
+  Matrix got;
+  Matrix want;
+  session->Dist(samples, col, &got);
+  oracle->ConditionalDist(samples, col, &want);
+  ASSERT_EQ(got.rows(), samples.rows()) << where;
+  ASSERT_EQ(got.cols(), want.cols()) << where;
+  for (size_t r = 0; r < samples.rows(); ++r) {
+    ASSERT_EQ(std::memcmp(got.Row(r), want.Row(r), got.cols() * sizeof(float)),
+              0)
+        << where << " col " << col << " row " << r;
   }
+}
 
-  auto session = oracle.StartSession(batch);
-  for (size_t col = 0; col < 3; ++col) {
-    Matrix from_session;
-    session->Dist(samples, col, &from_session);
-    Matrix stateless;
-    oracle.ConditionalDist(samples, col, &stateless);
-    ASSERT_EQ(from_session.rows(), stateless.rows());
-    for (size_t r = 0; r < batch; ++r) {
-      for (size_t v = 0; v < t.column(col).DomainSize(); ++v) {
-        ASSERT_NEAR(from_session.At(r, v), stateless.At(r, v), 1e-5)
-            << "col " << col << " row " << r << " value " << v;
+// Rows copied from `src` in the order `pick` lists them (repeats = forks,
+// omissions = retired rows).
+IntMatrix PickRows(const IntMatrix& src, const std::vector<size_t>& pick) {
+  IntMatrix out(pick.size(), src.cols());
+  for (size_t i = 0; i < pick.size(); ++i) {
+    std::memcpy(out.Row(i), src.Row(pick[i]), src.cols() * sizeof(int32_t));
+  }
+  return out;
+}
+
+TEST(Oracle, SessionIsPureUnderForksRetiresAndRestarts) {
+  Table t = MakeRandomTable(600, {4, 6, 5, 3, 4}, 23, /*skew=*/1.0);
+  const size_t n = t.num_columns();
+  for (const double lambda : {0.0, 0.3}) {
+    OracleModel oracle(&t, lambda);
+    const std::string tag = "lambda " + std::to_string(lambda);
+
+    // Half the paths follow real rows (supported prefixes), half draw
+    // codes uniformly (prefixes the table may not contain).
+    Rng rng(31);
+    const auto walk_samples = [&](size_t rows) {
+      IntMatrix samples(rows, n);
+      for (size_t r = 0; r < rows; ++r) {
+        if (r % 2 == 0) {
+          t.GetRowCodes(rng.UniformInt(t.num_rows()), samples.Row(r));
+        } else {
+          for (size_t c = 0; c < n; ++c) {
+            samples.At(r, c) = static_cast<int32_t>(
+                rng.UniformInt(t.column(c).DomainSize()));
+          }
+        }
       }
+      return samples;
+    };
+
+    // The batch hint is deliberately not the row count used below.
+    auto session = oracle.StartSession(4);
+    const IntMatrix walk = walk_samples(24);
+    for (size_t col = 0; col < n; ++col) {
+      ExpectSessionIsScan(&oracle, session.get(), walk, col, tag + " walk");
+    }
+
+    // A fork/retire boundary at column 2: rows duplicated, dropped and
+    // reordered, then the walk continues.
+    const IntMatrix forked =
+        PickRows(walk, {3, 3, 0, 7, 7, 7, 12, 1, 20, 5, 5});
+    for (size_t col = 2; col < n; ++col) {
+      ExpectSessionIsScan(&oracle, session.get(), forked, col,
+                          tag + " forked");
+    }
+
+    // A changed prefix: the parent group of the new prefix is not cached.
+    IntMatrix changed = forked;
+    changed.At(0, 0) = (changed.At(0, 0) + 1) % 4;
+    changed.At(4, 2) = (changed.At(4, 2) + 2) % 5;
+    ExpectSessionIsScan(&oracle, session.get(), changed, n - 1,
+                        tag + " changed");
+
+    // A step back to an earlier column, then the same column twice.
+    ExpectSessionIsScan(&oracle, session.get(), changed, 1, tag + " back");
+    ExpectSessionIsScan(&oracle, session.get(), changed, 1, tag + " repeat");
+    ExpectSessionIsScan(&oracle, session.get(), walk, 1, tag + " relayout");
+    ExpectSessionIsScan(&oracle, session.get(), changed, 2, tag + " onward");
+
+    // A second walk on the same session, with another row count.
+    const IntMatrix second = walk_samples(9);
+    for (size_t col = 0; col < n; ++col) {
+      ExpectSessionIsScan(&oracle, session.get(), second, col,
+                          tag + " second walk");
     }
   }
 }

@@ -9,15 +9,20 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/made.h"
 #include "core/oracle_model.h"
+#include "core/percolumn.h"
 #include "core/trainer.h"
 #include "core/transformer.h"
 #include "data/datasets.h"
+#include "estimator/bayesnet.h"
 #include "plan/plan_executor.h"
 #include "plan/sampling_plan.h"
+#include "query/executor.h"
 #include "query/workload.h"
 #include "tensor/kernel.h"
 
@@ -219,7 +224,6 @@ TEST(SamplingPlan, MixedBudgetsNeverFuse) {
 TEST(MadeModel, StackedRowsEvaluateBitIdentically) {
   Table t = PlanTable(9);
   auto model = PlanModel(t, 9);
-  ASSERT_TRUE(model->SupportsStackedEvaluation());
   const size_t n = model->num_columns();
 
   // Two unrelated walk states...
@@ -362,9 +366,8 @@ TEST(PlanExecutor, BitIdenticalToSequentialAcrossKernels) {
   model->SetInferenceKernel(KernelKind::kScalar);
 }
 
-// The transformer no longer falls back to per-query forwards: it supports
-// stacked evaluation, and tree execution over its sessions is bit-
-// identical to its sequential walk.
+// Tree execution over the transformer's sessions is bit-identical to its
+// sequential walk.
 TEST(PlanExecutor, TransformerPlannedBitIdenticalToSequential) {
   Table t = MakeRandomTable(400, {6, 5, 8, 4}, 31, /*skew=*/1.0);
   TransformerModel::Config tcfg;
@@ -379,7 +382,6 @@ TEST(PlanExecutor, TransformerPlannedBitIdenticalToSequential) {
   trcfg.epochs = 1;
   trcfg.batch_size = 128;
   Trainer(model.get(), trcfg).Train(t);
-  ASSERT_TRUE(model->SupportsStackedEvaluation());
   ASSERT_GT(model->StackedWidthHint(), 0u);
 
   std::vector<Query> queries = {QueryOn(t, {2, 3}), QueryOn(t, {2}),
@@ -434,7 +436,6 @@ TEST(PlanExecutor, PrefixShareSavesModelColumnCalls) {
       probs->Fill(1.0f / 3.0f);
       (void)col;
     }
-    bool SupportsStackedEvaluation() const override { return true; }
     int calls = 0;
   };
   CountingModel model;
@@ -464,17 +465,79 @@ TEST(PlanExecutor, PrefixShareSavesModelColumnCalls) {
   EXPECT_NEAR(got[1], 2.0 / 3.0, 1e-6);
 }
 
-TEST(PlanExecutor, RefusesStatefulSessionModels) {
+// Every session is pure, so the plan serves the models whose sessions are
+// not MADE's: the Oracle (prefix-keyed row-list cache), the per-column
+// network and the Bayes net (the stateless default session). Planned
+// estimates and standard errors must match the sequential sampler bit for
+// bit across tree widths, shard sizes and thread counts.
+TEST(PlanExecutor, BitIdenticalToSequentialForEveryModelFamily) {
   Table t = PlanTable(13);
+  const std::vector<size_t> domains = {6, 5, 8, 4, 7, 5};
   OracleModel oracle(&t);
-  EXPECT_FALSE(oracle.SupportsStackedEvaluation());
+  OracleModel smoothed(&t, 0.2);
+  PerColumnModel::Config pcfg;
+  pcfg.hidden_sizes = {16, 16};
+  pcfg.encoder.onehot_threshold = 16;
+  pcfg.seed = 13;
+  PerColumnModel percolumn(domains, pcfg);
+  BayesNet bayesnet(t);
+  const std::vector<std::pair<std::string, ConditionalModel*>> models = {
+      {"oracle", &oracle},
+      {"oracle-smoothed", &smoothed},
+      {"percolumn", &percolumn},
+      {"bayesnet", &bayesnet}};
+
+  std::vector<Query> queries = MixedRunBatch(t, 16, 2, 139);
+  queries.push_back(QueryOn(t, {0, 1, 3}));
+  queries.push_back(QueryOn(t, {0, 1, 5}));
+  std::vector<const Query*> ptrs;
+  for (const auto& q : queries) ptrs.push_back(&q);
+
+  for (const auto& [name, model] : models) {
+    for (const size_t shard_size : {size_t{32}, size_t{128}}) {
+      ProgressiveSamplerConfig scfg;
+      scfg.num_samples = 160;
+      scfg.shard_size = shard_size;
+      scfg.seed = 43;
+      ProgressiveSampler sampler(model, scfg);
+      std::vector<double> want, want_se;
+      for (const auto& q : queries) {
+        double se = 0;
+        want.push_back(sampler.EstimateWithStdError(q, &se));
+        want_se.push_back(se);
+      }
+      for (const size_t group_width : {size_t{1}, size_t{4}, size_t{32}}) {
+        SamplingPlanOptions popts;
+        popts.max_group_width = group_width;
+        const SamplingPlan plan = CompileSamplingPlan(model, ptrs, popts);
+        for (const size_t parallelism : {size_t{1}, size_t{0}}) {
+          PlanExecutionOptions opts;
+          opts.num_samples = 160;
+          opts.shard_size = shard_size;
+          opts.seed = 43;
+          opts.parallelism = parallelism;
+          std::vector<double> got, got_se;
+          ExecuteSamplingPlan(model, plan, opts, &got, &got_se);
+          ASSERT_EQ(got.size(), queries.size());
+          for (size_t i = 0; i < queries.size(); ++i) {
+            EXPECT_EQ(got[i], want[i])
+                << name << " shard " << shard_size << " width "
+                << group_width << " parallelism " << parallelism
+                << " query " << i;
+            EXPECT_EQ(got_se[i], want_se[i]) << name << " stderr, query "
+                                             << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 // --- Statistical contract (Theorem 1) -----------------------------------
 
 // The model's exact selectivity of `q`: the sum of P̂(x) over the region's
 // cross product, one LogProbRows pass.
-double ExactModelSelectivity(MadeModel* model, const Query& q) {
+double ExactModelSelectivity(ConditionalModel* model, const Query& q) {
   const size_t n = model->num_columns();
   size_t total = 1;
   for (size_t c = 0; c < n; ++c) total *= q.region(c).Count();
@@ -517,24 +580,14 @@ void ExpectUnbiasedAndCalibrated(const std::vector<double>& est,
       << where << ": " << covered << " of " << est.size() << " covered";
 }
 
-// Sequential and planned estimates on `kernel`, against the exact model
-// selectivity on the scalar reference kernel: a kernel whose arithmetic
-// biases the estimator (the simd kernel's polynomial exp, say) shows up as
-// a mean drifting past 4·SE.
-void ExpectStatisticalContract(KernelKind kernel) {
-  Table t = PlanTable(41);
-  auto model = PlanModel(t, 41);
-  const std::vector<Query> queries = {QueryOn(t, {0, 2}), QueryOn(t, {1, 4}),
-                                      QueryOn(t, {0, 1, 3, 5}),
-                                      QueryOn(t, {2, 3, 4})};
+// Sequential and planned estimates of `model` over a 200-seed sweep, each
+// query against its exact selectivity.
+void ExpectStatisticalContract(ConditionalModel* model,
+                               const std::vector<Query>& queries,
+                               const std::vector<double>& exact) {
   std::vector<const Query*> ptrs;
-  std::vector<double> exact;
-  for (const auto& q : queries) {
-    ptrs.push_back(&q);
-    exact.push_back(ExactModelSelectivity(model.get(), q));
-  }
-  model->SetInferenceKernel(kernel);
-  const SamplingPlan plan = CompileSamplingPlan(model.get(), ptrs);
+  for (const auto& q : queries) ptrs.push_back(&q);
+  const SamplingPlan plan = CompileSamplingPlan(model, ptrs);
 
   constexpr size_t kSeeds = 200;
   constexpr size_t kSamples = 64;
@@ -546,7 +599,7 @@ void ExpectStatisticalContract(KernelKind kernel) {
     scfg.num_samples = kSamples;
     scfg.seed = seed;
     scfg.parallelism = 1;
-    ProgressiveSampler sampler(model.get(), scfg);
+    ProgressiveSampler sampler(model, scfg);
     for (size_t i = 0; i < queries.size(); ++i) {
       double se = 0;
       seq[i].push_back(sampler.EstimateWithStdError(queries[i], &se));
@@ -557,7 +610,7 @@ void ExpectStatisticalContract(KernelKind kernel) {
     opts.seed = seed;
     opts.parallelism = 1;
     std::vector<double> got, got_se;
-    ExecuteSamplingPlan(model.get(), plan, opts, &got, &got_se);
+    ExecuteSamplingPlan(model, plan, opts, &got, &got_se);
     for (size_t i = 0; i < queries.size(); ++i) {
       planned[i].push_back(got[i]);
       planned_se[i].push_back(got_se[i]);
@@ -572,12 +625,49 @@ void ExpectStatisticalContract(KernelKind kernel) {
   }
 }
 
+std::vector<Query> ContractQueries(const Table& t) {
+  return {QueryOn(t, {0, 2}), QueryOn(t, {1, 4}), QueryOn(t, {0, 1, 3, 5}),
+          QueryOn(t, {2, 3, 4})};
+}
+
+// MADE on `kernel`, against the exact model selectivity on the scalar
+// reference kernel: a kernel whose arithmetic biases the estimator (the
+// simd kernel's polynomial exp, say) shows up as a mean drifting past
+// 4·SE.
+void ExpectMadeStatisticalContract(KernelKind kernel) {
+  Table t = PlanTable(41);
+  auto model = PlanModel(t, 41);
+  const std::vector<Query> queries = ContractQueries(t);
+  std::vector<double> exact;
+  for (const auto& q : queries) {
+    exact.push_back(ExactModelSelectivity(model.get(), q));
+  }
+  model->SetInferenceKernel(kernel);
+  ExpectStatisticalContract(model.get(), queries, exact);
+}
+
 TEST(StatisticalContract, MadeEstimatesUnbiasedAndCalibrated) {
-  ExpectStatisticalContract(KernelKind::kScalar);
+  ExpectMadeStatisticalContract(KernelKind::kScalar);
 }
 
 TEST(StatisticalContract, MadeSimdEstimatesUnbiasedAndCalibrated) {
-  ExpectStatisticalContract(KernelKind::kSimd);
+  ExpectMadeStatisticalContract(KernelKind::kSimd);
+}
+
+// The unsmoothed Oracle's joint is the table's own distribution, so the
+// exact value each route must be unbiased for is the true selectivity.
+TEST(StatisticalContract, OracleEstimatesUnbiasedAndCalibrated) {
+  Table t = PlanTable(41);
+  OracleModel oracle(&t, /*smoothing_lambda=*/0.0);
+  const std::vector<Query> queries = ContractQueries(t);
+  std::vector<double> exact;
+  for (const auto& q : queries) {
+    exact.push_back(ExactModelSelectivity(&oracle, q));
+    const double truth = static_cast<double>(ExecuteCount(t, q)) /
+                         static_cast<double>(t.num_rows());
+    EXPECT_NEAR(exact.back(), truth, 1e-6);
+  }
+  ExpectStatisticalContract(&oracle, queries, exact);
 }
 
 }  // namespace

@@ -443,8 +443,8 @@ TEST(InferenceEngine, PrefixSharingBitIdenticalAcrossThreadsAndShards) {
 
 // Group layout is an execution detail: splitting the same batch into
 // different micro-batches (hence different plans and groupings) never
-// changes an estimate, and disabling planning entirely agrees too.
-TEST(InferenceEngine, PlanLayoutAndPlanDisableAreResultInvariant) {
+// changes an estimate, and both agree with the sequential path.
+TEST(InferenceEngine, PlanLayoutIsResultInvariant) {
   Table table = SmallTable(47);
   auto model = SmallTrainedModel(table, 47);
 
@@ -483,15 +483,12 @@ TEST(InferenceEngine, PlanLayoutAndPlanDisableAreResultInvariant) {
   }
   EXPECT_EQ(chunked, whole);
 
-  // Legacy (plan disabled) engine agrees bit-for-bit.
-  InferenceEngineConfig legacy_cfg = planned_cfg;
-  legacy_cfg.enable_plan = false;
-  InferenceEngine legacy(legacy_cfg);
-  std::vector<double> unplanned;
-  ServeDefault(&legacy, &est, queries, &unplanned);
-  EXPECT_EQ(unplanned, whole);
-  EXPECT_EQ(legacy.stats().plan_batches, 0u);
-  EXPECT_EQ(legacy.stats().planned_queries, 0u);
+  // The sequential reference agrees bit-for-bit.
+  std::vector<double> sequential;
+  for (const Query& q : queries) {
+    sequential.push_back(est.EstimateSelectivity(q));
+  }
+  EXPECT_EQ(sequential, whole);
 }
 
 // Tentpole of the typed-API redesign: the estimator's double-returning
@@ -536,8 +533,7 @@ TEST(InferenceEngine, TypedDefaultRequestsMatchLegacyDoubleApi) {
     EXPECT_GE(results[i].compute_ms, 0.0);
     // Sampled results surface the sequential path's Monte Carlo standard
     // error; exact answers report 0.
-    if (results[i].provenance == ResultProvenance::kSampled ||
-        results[i].provenance == ResultProvenance::kPlannedGroup) {
+    if (results[i].provenance == ResultProvenance::kPlannedGroup) {
       EXPECT_EQ(results[i].std_error, sequential_stderr[i]) << "query " << i;
       EXPECT_EQ(results[i].samples_used, ncfg.num_samples);
     } else {
@@ -602,7 +598,7 @@ TEST(InferenceEngine, ExpiredDeadlinesAreShedWithTypedStatus) {
 // Per-request sample budgets are part of the value contract: a request
 // carrying num_samples=N must be bit-identical (estimate AND std-error)
 // to a dedicated estimator configured with N — through the sequential
-// typed path, the planned engine, and the legacy engine route — and
+// typed path and the engine — and
 // budgets must never coalesce or share memo entries with each other.
 TEST(InferenceEngine, PerRequestSampleBudgetsMatchDedicatedEstimators) {
   Table table = SmallTable(61);
@@ -639,54 +635,48 @@ TEST(InferenceEngine, PerRequestSampleBudgetsMatchDedicatedEstimators) {
     requests.push_back(std::move(req));
   }
 
-  for (const bool planned : {true, false}) {
-    InferenceEngineConfig ecfg;
-    ecfg.num_threads = 2;
-    ecfg.enable_plan = planned;
-    InferenceEngine engine(ecfg);
-    std::vector<EstimateResult> results;
-    engine.EstimateBatch(&est, requests, &results);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const EstimateResult want = refs[i % 3]->Estimate(queries[i]);
-      ASSERT_TRUE(results[i].ok());
-      EXPECT_EQ(results[i].estimate, want.estimate)
-          << "query " << i << " planned " << planned;
-      EXPECT_EQ(results[i].std_error, want.std_error)
-          << "query " << i << " planned " << planned;
-      // The sequential typed path honors the same per-request override.
-      const EstimateResult direct = est.Estimate(
-          queries[i], EstimateOptions{.num_samples = budgets[i % 3]});
-      EXPECT_EQ(direct.estimate, want.estimate) << "query " << i;
-    }
-
-    // Budgets never share memo entries: re-serving the same mixed batch
-    // hits the memo once per distinct (query, budget) pair.
-    std::set<std::pair<std::string, size_t>> distinct;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      distinct.emplace(QueryKey(queries[i]), budgets[i % 3]);
-    }
-    const EngineStats cold = engine.stats();
-    std::vector<EstimateResult> warm_results;
-    engine.EstimateBatch(&est, requests, &warm_results);
-    const EngineStats warm = engine.stats();
-    EXPECT_EQ(warm.memo_hits - cold.memo_hits, distinct.size())
-        << "planned " << planned;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(warm_results[i].estimate, results[i].estimate);
-      EXPECT_EQ(warm_results[i].provenance, ResultProvenance::kCacheHit);
-    }
-
-    // One query asked under two budgets in ONE batch must not coalesce.
-    std::vector<EstimateRequest> pair;
-    pair.emplace_back(queries[0]);
-    pair.back().options.num_samples = 100;
-    pair.emplace_back(queries[0]);
-    pair.back().options.num_samples = 350;
-    std::vector<EstimateResult> pair_out;
-    engine.EstimateBatch(&est, pair, &pair_out);
-    EXPECT_EQ(pair_out[0].estimate, refs[1]->EstimateSelectivity(queries[0]));
-    EXPECT_EQ(pair_out[1].estimate, refs[2]->EstimateSelectivity(queries[0]));
+  InferenceEngineConfig ecfg;
+  ecfg.num_threads = 2;
+  InferenceEngine engine(ecfg);
+  std::vector<EstimateResult> results;
+  engine.EstimateBatch(&est, requests, &results);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const EstimateResult want = refs[i % 3]->Estimate(queries[i]);
+    ASSERT_TRUE(results[i].ok());
+    EXPECT_EQ(results[i].estimate, want.estimate) << "query " << i;
+    EXPECT_EQ(results[i].std_error, want.std_error) << "query " << i;
+    // The sequential typed path honors the same per-request override.
+    const EstimateResult direct = est.Estimate(
+        queries[i], EstimateOptions{.num_samples = budgets[i % 3]});
+    EXPECT_EQ(direct.estimate, want.estimate) << "query " << i;
   }
+
+  // Budgets never share memo entries: re-serving the same mixed batch
+  // hits the memo once per distinct (query, budget) pair.
+  std::set<std::pair<std::string, size_t>> distinct;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    distinct.emplace(QueryKey(queries[i]), budgets[i % 3]);
+  }
+  const EngineStats cold = engine.stats();
+  std::vector<EstimateResult> warm_results;
+  engine.EstimateBatch(&est, requests, &warm_results);
+  const EngineStats warm = engine.stats();
+  EXPECT_EQ(warm.memo_hits - cold.memo_hits, distinct.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(warm_results[i].estimate, results[i].estimate);
+    EXPECT_EQ(warm_results[i].provenance, ResultProvenance::kCacheHit);
+  }
+
+  // One query asked under two budgets in ONE batch must not coalesce.
+  std::vector<EstimateRequest> pair;
+  pair.emplace_back(queries[0]);
+  pair.back().options.num_samples = 100;
+  pair.emplace_back(queries[0]);
+  pair.back().options.num_samples = 350;
+  std::vector<EstimateResult> pair_out;
+  engine.EstimateBatch(&est, pair, &pair_out);
+  EXPECT_EQ(pair_out[0].estimate, refs[1]->EstimateSelectivity(queries[0]));
+  EXPECT_EQ(pair_out[1].estimate, refs[2]->EstimateSelectivity(queries[0]));
 }
 
 TEST(InferenceEngine, CachePolicyRestrictsCachingButNeverChangesValues) {
@@ -800,9 +790,24 @@ TEST(InferenceEngine, OracleModelServesConcurrently) {
     sequential.push_back(est.EstimateSelectivity(q));
   }
   InferenceEngine engine(InferenceEngineConfig{.num_threads = 4});
-  std::vector<double> batched;
-  ServeDefault(&engine, &est, queries, &batched);
-  EXPECT_EQ(batched, sequential);
+  std::vector<EstimateRequest> requests;
+  for (const auto& q : queries) requests.emplace_back(q);
+  std::vector<EstimateResult> results;
+  engine.EstimateBatch(&est, requests, &results);
+  ASSERT_EQ(results.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << "query " << i;
+    EXPECT_EQ(results[i].estimate, sequential[i]) << "query " << i;
+    // The Oracle's sessions are pure, so its walks are planned like any
+    // other model's.
+    if (est.sampler()->Classify(queries[i]) ==
+        ProgressiveSampler::Path::kSampled) {
+      EXPECT_EQ(results[i].provenance, ResultProvenance::kPlannedGroup)
+          << "query " << i;
+    }
+  }
+  EXPECT_GT(engine.stats().plan_batches, 0u);
+  EXPECT_EQ(engine.stats().results_sampled, 0u);
 }
 
 // Satellite of the overload-safety PR: expiry is INCLUSIVE at the
@@ -856,42 +861,34 @@ TEST(InferenceEngine, CacheHitComputeMsBelowSampledWalk) {
   }
   ASSERT_NE(fresh, 0u);
 
-  for (const bool planned : {true, false}) {
-    InferenceEngineConfig ecfg;
-    ecfg.num_threads = 2;
-    ecfg.enable_plan = planned;
-    InferenceEngine engine(ecfg);
+  InferenceEngineConfig ecfg;
+  ecfg.num_threads = 2;
+  InferenceEngine engine(ecfg);
 
-    // Warm the memo with queries[0].
-    std::vector<EstimateRequest> warm{EstimateRequest(queries[0])};
-    std::vector<EstimateResult> warm_out;
-    engine.EstimateBatch(&est, warm, &warm_out);
-    ASSERT_TRUE(warm_out[0].provenance == ResultProvenance::kSampled ||
-                warm_out[0].provenance == ResultProvenance::kPlannedGroup);
-    EXPECT_GT(warm_out[0].compute_ms, 0.0);
+  // Warm the memo with queries[0].
+  std::vector<EstimateRequest> warm{EstimateRequest(queries[0])};
+  std::vector<EstimateResult> warm_out;
+  engine.EstimateBatch(&est, warm, &warm_out);
+  ASSERT_EQ(warm_out[0].provenance, ResultProvenance::kPlannedGroup);
+  EXPECT_GT(warm_out[0].compute_ms, 0.0);
 
-    // One batch holding both a hit and a fresh walk: per-phase
-    // attribution must separate them.
-    std::vector<EstimateRequest> batch;
-    batch.emplace_back(queries[0]);      // memo hit
-    batch.emplace_back(queries[fresh]);  // fresh sampled walk
-    std::vector<EstimateResult> out;
-    engine.EstimateBatch(&est, batch, &out);
-    ASSERT_EQ(out[0].provenance, ResultProvenance::kCacheHit)
-        << "planned " << planned;
-    ASSERT_TRUE(out[1].provenance == ResultProvenance::kSampled ||
-                out[1].provenance == ResultProvenance::kPlannedGroup);
-    // Wall-clock-coupled ordering: a sanitizer's instrumentation can
-    // inflate a map lookup past a tiny walk, so the comparison (not the
-    // attribution mechanism) is waived under NARU_SMOKE_NO_PERF_ASSERT.
-    if (GetEnvInt("NARU_SMOKE_NO_PERF_ASSERT", 0) == 0) {
-      EXPECT_LT(out[0].compute_ms, out[1].compute_ms)
-          << "planned " << planned
-          << ": a cache hit must not be charged the batch's walk time";
-      // And across batches: the hit is cheaper than its own original walk.
-      EXPECT_LT(out[0].compute_ms, warm_out[0].compute_ms)
-          << "planned " << planned;
-    }
+  // One batch holding both a hit and a fresh walk: per-phase
+  // attribution must separate them.
+  std::vector<EstimateRequest> batch;
+  batch.emplace_back(queries[0]);      // memo hit
+  batch.emplace_back(queries[fresh]);  // fresh sampled walk
+  std::vector<EstimateResult> out;
+  engine.EstimateBatch(&est, batch, &out);
+  ASSERT_EQ(out[0].provenance, ResultProvenance::kCacheHit);
+  ASSERT_EQ(out[1].provenance, ResultProvenance::kPlannedGroup);
+  // Wall-clock-coupled ordering: a sanitizer's instrumentation can
+  // inflate a map lookup past a tiny walk, so the comparison (not the
+  // attribution mechanism) is waived under NARU_SMOKE_NO_PERF_ASSERT.
+  if (GetEnvInt("NARU_SMOKE_NO_PERF_ASSERT", 0) == 0) {
+    EXPECT_LT(out[0].compute_ms, out[1].compute_ms)
+        << "a cache hit must not be charged the batch's walk time";
+    // And across batches: the hit is cheaper than its own original walk.
+    EXPECT_LT(out[0].compute_ms, warm_out[0].compute_ms);
   }
 }
 
@@ -909,55 +906,49 @@ TEST(InferenceEngine, MidWalkDeadlineAbandonsOnlyTheExpiredComputation) {
   ncfg.enumeration_threshold = 0;
   NaruEstimator est(model.get(), ncfg, 0);
 
-  for (const bool planned : {true, false}) {
-    InferenceEngineConfig ecfg;
-    ecfg.num_threads = 2;
-    ecfg.enable_cache = false;  // identical recomputation across runs
-    ecfg.enable_plan = planned;
+  InferenceEngineConfig ecfg;
+  ecfg.num_threads = 2;
+  ecfg.enable_cache = false;  // identical recomputation across runs
 
-    // Survivors: a handful of deadline-free requests.
-    std::vector<EstimateRequest> survivors;
-    for (size_t i = 0; i < 5; ++i) survivors.emplace_back(queries[i]);
+  // Survivors: a handful of deadline-free requests.
+  std::vector<EstimateRequest> survivors;
+  for (size_t i = 0; i < 5; ++i) survivors.emplace_back(queries[i]);
 
-    // The doomed request: a huge per-request budget (its walk takes far
-    // longer than the deadline) with a deadline that is STILL LIVE at
-    // dispatch — generous enough to survive scheduling noise on a loaded
-    // machine, far shorter than its walk — so it passes the shed pass
-    // and must be abandoned mid-walk, at a column boundary.
-    std::vector<EstimateRequest> batch = survivors;
-    EstimateRequest doomed(queries[0]);
-    doomed.options.num_samples = 500000;
-    batch.push_back(std::move(doomed));
+  // The doomed request: a huge per-request budget (its walk takes far
+  // longer than the deadline) with a deadline that is STILL LIVE at
+  // dispatch — generous enough to survive scheduling noise on a loaded
+  // machine, far shorter than its walk — so it passes the shed pass
+  // and must be abandoned mid-walk, at a column boundary.
+  std::vector<EstimateRequest> batch = survivors;
+  EstimateRequest doomed(queries[0]);
+  doomed.options.num_samples = 500000;
+  batch.push_back(std::move(doomed));
 
-    InferenceEngine engine(ecfg);  // before the deadline: pool spawn-up
-    std::vector<EstimateResult> out;
-    batch.back().options.deadline = EstimateOptions::DeadlineInMs(50.0);
-    engine.EstimateBatch(&est, batch, &out);
+  InferenceEngine engine(ecfg);  // before the deadline: pool spawn-up
+  std::vector<EstimateResult> out;
+  batch.back().options.deadline = EstimateOptions::DeadlineInMs(50.0);
+  engine.EstimateBatch(&est, batch, &out);
 
-    const EstimateResult& shed = out.back();
-    EXPECT_EQ(shed.status.code(), StatusCode::kDeadlineExceeded)
-        << "planned " << planned;
-    EXPECT_TRUE(std::isnan(shed.estimate));
-    EXPECT_EQ(shed.provenance, ResultProvenance::kShed);
-    EXPECT_EQ(shed.samples_used, 0u);
-    const EngineStats stats = engine.stats();
-    EXPECT_EQ(stats.shed_deadline, 0u)
-        << "planned " << planned << ": must not have shed at dispatch";
-    EXPECT_GE(stats.shed_midwalk, 1u) << "planned " << planned;
-    EXPECT_EQ(stats.results_shed, 1u);
+  const EstimateResult& shed = out.back();
+  EXPECT_EQ(shed.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_TRUE(std::isnan(shed.estimate));
+  EXPECT_EQ(shed.provenance, ResultProvenance::kShed);
+  EXPECT_EQ(shed.samples_used, 0u);
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.shed_deadline, 0u) << "must not have shed at dispatch";
+  EXPECT_GE(stats.shed_midwalk, 1u);
+  EXPECT_EQ(stats.results_shed, 1u);
 
-    // Survivors are bit-identical to the sequential path AND to a batch
-    // that never contained the expired request.
-    InferenceEngine control(ecfg);
-    std::vector<EstimateResult> control_out;
-    control.EstimateBatch(&est, survivors, &control_out);
-    for (size_t i = 0; i < survivors.size(); ++i) {
-      ASSERT_TRUE(out[i].ok()) << "planned " << planned << " query " << i;
-      EXPECT_EQ(out[i].estimate, control_out[i].estimate)
-          << "planned " << planned << " query " << i;
-      EXPECT_EQ(out[i].estimate, est.EstimateSelectivity(batch[i].query))
-          << "planned " << planned << " query " << i;
-    }
+  // Survivors are bit-identical to the sequential path AND to a batch
+  // that never contained the expired request.
+  InferenceEngine control(ecfg);
+  std::vector<EstimateResult> control_out;
+  control.EstimateBatch(&est, survivors, &control_out);
+  for (size_t i = 0; i < survivors.size(); ++i) {
+    ASSERT_TRUE(out[i].ok()) << "query " << i;
+    EXPECT_EQ(out[i].estimate, control_out[i].estimate) << "query " << i;
+    EXPECT_EQ(out[i].estimate, est.EstimateSelectivity(batch[i].query))
+        << "query " << i;
   }
 
   // The sequential typed path abandons mid-walk by the same rule.

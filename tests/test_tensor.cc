@@ -17,9 +17,12 @@ namespace naru {
 namespace {
 
 Matrix RandomMatrix(size_t r, size_t c, Rng* rng) {
+  // Logical columns only: the stride padding stays zero (matrix.h).
   Matrix m(r, c);
-  for (size_t i = 0; i < m.size(); ++i) {
-    m.data()[i] = static_cast<float>(rng->Gaussian());
+  for (size_t i = 0; i < r; ++i) {
+    for (size_t j = 0; j < c; ++j) {
+      m.At(i, j) = static_cast<float>(rng->Gaussian());
+    }
   }
   return m;
 }
