@@ -38,14 +38,15 @@ void TupleGenerator::WalkChunk(const Query* query, size_t chunk,
   samples_.Fill(0);
   weights->assign(chunk, 1.0);
   std::vector<uint8_t> alive(chunk, 1);
-  // An unconditional walk draws every position from its full conditional,
-  // so no path dies and the all-wildcard query is never consulted.
+  // An unconditional walk is a walk over the all-wildcard query: every
+  // position draws from its full conditional, except where the model masks
+  // codes outside the table domain (a factorized low sub-column under a
+  // partial last high block), so re-joined codes stay in domain.
   const Query& region = query != nullptr ? *query : all_wildcard_;
 
   auto session = model_->StartSession(chunk);
   for (size_t pos = 0; pos < n; ++pos) {
-    const bool wildcard =
-        query == nullptr || model_->PositionIsWildcard(*query, pos);
+    const bool wildcard = model_->PositionIsWildcard(region, pos);
     session->Dist(samples_, pos, &probs_);
     SamplerColumnStep(model_, region, pos, wildcard,
                       SamplerRowBlock{&samples_, &probs_, weights->data(),

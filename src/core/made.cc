@@ -18,9 +18,7 @@ Matrix MadeModel::BuildMask(const std::vector<int>& in_deg,
   for (size_t i = 0; i < in_deg.size(); ++i) {
     float* row = mask.Row(i);
     for (size_t j = 0; j < out_deg.size(); ++j) {
-      const bool allowed =
-          strict ? (out_deg[j] > in_deg[i]) : (out_deg[j] >= in_deg[i]);
-      row[j] = allowed ? 1.0f : 0.0f;
+      row[j] = MaskAllows(in_deg[i], out_deg[j], strict) ? 1.0f : 0.0f;
     }
   }
   return mask;
@@ -108,16 +106,21 @@ void MadeModel::ForwardTrunk(const IntMatrix& codes, size_t upto,
 }
 
 void MadeModel::HeadForward(size_t col, EvalContext* ctx, Matrix* block,
-                            KernelKind kernel) const {
+                            KernelKind kernel,
+                            const DegreePanel* packed) const {
   const Head& head = heads_[col];
   // Linear (no-hidden) MADE heads read the one-hot input directly.
   const InputHint hint = hidden_.empty() ? input_hint_ : InputHint::kDense;
-  if (!head.reuse) {
-    head.fc->Forward(final_hidden(*ctx), block, kernel, hint);
-    return;
+  // Embedding-reuse heads emit h dims into head_tmp first.
+  Matrix* out = head.reuse ? &ctx->head_tmp : block;
+  if (packed != nullptr) {
+    GemmNN(final_hidden(*ctx), packed->weight, out, /*accumulate=*/false,
+           kernel, hint, &packed->reads);
+    AddBiasRows(packed->bias, out);
+  } else {
+    head.fc->Forward(final_hidden(*ctx), out, kernel, hint);
   }
-  head.fc->Forward(final_hidden(*ctx), &ctx->head_tmp, kernel,
-                   hint);  // (B x h)
+  if (!head.reuse) return;
   const Embedding* emb = encoder_.embedding(col);
   NARU_CHECK(emb != nullptr);
   GemmNT(ctx->head_tmp, emb->table().value, block, /*accumulate=*/false,
@@ -158,30 +161,64 @@ void MadeModel::InvalidatePanels() {
   panels_ = nullptr;
 }
 
-std::shared_ptr<const MadeModel::TrunkPanels> MadeModel::CurrentPanels() {
+MadeModel::DegreePanel MadeModel::PackPanel(const MaskedLinear& layer,
+                                            std::vector<size_t> reads,
+                                            std::vector<size_t> units) {
+  const Matrix& w = layer.weight().value;
+  const Matrix& b = layer.bias().value;
+  DegreePanel p;
+  p.weight = Matrix(reads.size(), units.size());
+  p.bias = Matrix(1, units.size());
+  for (size_t i = 0; i < reads.size(); ++i) {
+    for (size_t j = 0; j < units.size(); ++j) {
+      p.weight.At(i, j) = w.At(reads[i], units[j]);
+    }
+  }
+  for (size_t j = 0; j < units.size(); ++j) p.bias.At(0, j) = b.At(0, units[j]);
+  p.reads = std::move(reads);
+  p.units = std::move(units);
+  return p;
+}
+
+std::shared_ptr<const MadeModel::SessionPanels> MadeModel::CurrentPanels() {
   MutexLock lock(&panels_mu_);
   if (panels_ != nullptr) return panels_;
+  // The input rows a unit of degree `deg` may read, ascending, chosen by
+  // the same degree rule as its mask (never by testing weight values).
+  auto readable = [](const std::vector<int>& in_deg, int deg, bool strict) {
+    std::vector<size_t> rows;
+    for (size_t i = 0; i < in_deg.size(); ++i) {
+      if (MaskAllows(in_deg[i], deg, strict)) rows.push_back(i);
+    }
+    return rows;
+  };
   const size_t n = num_columns();
   const size_t degrees = n >= 2 ? n - 1 : 1;
-  auto panels = std::make_shared<TrunkPanels>(hidden_.size());
+  auto panels = std::make_shared<SessionPanels>();
+  panels->trunk.resize(hidden_.size());
   for (size_t l = 0; l < hidden_.size(); ++l) {
-    const Matrix& w = hidden_[l].weight().value;
-    const Matrix& b = hidden_[l].bias().value;
-    (*panels)[l].resize(degrees);
+    const std::vector<int>& in_deg =
+        l == 0 ? input_degrees_ : layer_degrees_[l - 1];
     for (size_t d = 0; d < degrees; ++d) {
-      DegreePanel& p = (*panels)[l][d];
+      const int deg = static_cast<int>(d);
+      std::vector<size_t> units;
       for (size_t k = 0; k < layer_degrees_[l].size(); ++k) {
-        if (layer_degrees_[l][k] == static_cast<int>(d)) p.units.push_back(k);
+        if (layer_degrees_[l][k] == deg) units.push_back(k);
       }
-      p.weight = Matrix(w.rows(), p.units.size());
-      p.bias = Matrix(1, p.units.size());
-      for (size_t j = 0; j < p.units.size(); ++j) {
-        for (size_t i = 0; i < w.rows(); ++i) {
-          p.weight.At(i, j) = w.At(i, p.units[j]);
-        }
-        p.bias.At(0, j) = b.At(0, p.units[j]);
-      }
+      panels->trunk[l].push_back(PackPanel(
+          hidden_[l], readable(in_deg, deg, /*strict=*/false),
+          std::move(units)));
     }
+  }
+  const std::vector<int>& final_deg =
+      hidden_.empty() ? input_degrees_ : layer_degrees_.back();
+  for (size_t c = 0; c < n; ++c) {
+    std::vector<size_t> outputs(heads_[c].fc->out_dim());
+    for (size_t j = 0; j < outputs.size(); ++j) outputs[j] = j;
+    panels->heads.push_back(
+        PackPanel(*heads_[c].fc,
+                  readable(final_deg, static_cast<int>(c), /*strict=*/true),
+                  std::move(outputs)));
   }
   panels_ = std::move(panels);
   return panels_;
@@ -194,7 +231,7 @@ std::shared_ptr<const MadeModel::TrunkPanels> MadeModel::CurrentPanels() {
 class MadeSession : public SamplingSession {
  public:
   MadeSession(const MadeModel* model,
-              std::shared_ptr<const MadeModel::TrunkPanels> panels)
+              std::shared_ptr<const MadeModel::SessionPanels> panels)
       : model_(model), panels_(std::move(panels)) {
     ctx_.acts.resize(model_->hidden_.size());
     spare_.resize(model_->hidden_.size());
@@ -222,7 +259,8 @@ class MadeSession : public SamplingSession {
       ready_ = col;
       key_ = samples;
     }
-    m.HeadForward(col, &ctx_, probs, m.inference_kernel_);
+    m.HeadForward(col, &ctx_, probs, m.inference_kernel_,
+                  &panels_->heads[col]);
     SoftmaxRows(*probs, probs, m.inference_kernel_);
   }
 
@@ -322,26 +360,27 @@ class MadeSession : public SamplingSession {
 
   // Computes layer `layer`'s degree-`degree` units for every row: the same
   // GEMM, bias, residual and ReLU arithmetic ForwardTrunk does for them,
-  // restricted to the panel's columns, scattered into place.
+  // restricted to the panel's columns and the input rows they may read,
+  // with bias, skip and ReLU fused into the scatter into place.
   void ComputeUnits(size_t layer, size_t degree) {
     const MadeModel& m = *model_;
-    const MadeModel::DegreePanel& panel = (*panels_)[layer][degree];
+    const MadeModel::DegreePanel& panel = panels_->trunk[layer][degree];
     if (panel.units.empty()) return;
     const Matrix& in = layer == 0 ? ctx_.x : ctx_.acts[layer - 1];
     const InputHint hint = layer == 0 ? m.input_hint_ : InputHint::kDense;
     GemmNN(in, panel.weight, &units_, /*accumulate=*/false,
-           m.inference_kernel_, hint);
-    AddBiasRows(panel.bias, &units_);
+           m.inference_kernel_, hint, &panel.reads);
     const bool skip = m.HasSkip(layer);
     const size_t count = panel.units.size();
     const size_t* pos = panel.units.data();
+    const float* bias = panel.bias.Row(0);
     Matrix& out = ctx_.acts[layer];
     for (size_t r = 0; r < in.rows(); ++r) {
       const float* z = units_.Row(r);
       const float* skip_row = in.Row(r);
       float* h = out.Row(r);
       for (size_t j = 0; j < count; ++j) {
-        float v = z[j];
+        float v = z[j] + bias[j];
         if (skip) v += 1.0f * skip_row[pos[j]];
         h[pos[j]] = v > 0.0f ? v : 0.0f;
       }
@@ -349,7 +388,7 @@ class MadeSession : public SamplingSession {
   }
 
   const MadeModel* model_;
-  std::shared_ptr<const MadeModel::TrunkPanels> panels_;
+  std::shared_ptr<const MadeModel::SessionPanels> panels_;
   MadeModel::EvalContext ctx_;
   IntMatrix key_;      // codes the cached rows were computed from
   size_t ready_ = 0;   // units of degree < ready_ are final

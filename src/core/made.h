@@ -20,9 +20,18 @@
 // lower-degree units. The cache is keyed by each row's sampled prefix codes
 // and every reuse is verified against them, so Dist stays a pure function
 // of (samples, col) and is bit-identical to the full recompute
-// (ConditionalDistWith): each GEMM kernel reduces an output element on one
-// ascending-k chain, and not-yet-computed units (held at 0) meet only
-// masked, exactly-zero weights.
+// (ConditionalDistWith).
+//
+// The session GEMMs are degree-truncated. A panel of degree-d units is
+// packed over only the input rows the mask lets it read (encoded columns
+// <= d at layer 0, units of degree <= d above), and head c over only the
+// final units of degree < c. GemmNN reads those rows of the activations
+// through the ascending index list in place (tensor/gemm.h); layer 0, and
+// a linear MADE's heads, read a contiguous prefix of the encoding and just
+// run a shorter k. Each GEMM kernel reduces an output element on one
+// ascending-k chain, and the dropped terms are exactly the masked zeros
+// (not-yet-computed units, held at 0, are among them and never read), so
+// every surviving term keeps its order and the results keep their bits.
 #pragma once
 
 #include <memory>
@@ -125,20 +134,34 @@ class MadeModel : public ConditionalModel, public TrainableModel {
  private:
   friend class MadeSession;
 
-  /// One hidden layer's units of one degree, packed for the session step:
-  /// the layer's masked weight columns (in_dim x units) and bias entries of
-  /// exactly those units, and where the units sit in the layer.
+  /// One packed session GEMM operand. For a trunk panel: one hidden layer's
+  /// units of one degree; for a head: all of head c's outputs. `weight`
+  /// holds the layer's masked weights over input rows `reads` and output
+  /// columns `units` (reads.size() x units.size()), `bias` the bias entries
+  /// of those units. `reads` lists, in ascending order, the input rows the
+  /// MADE mask lets the units read, picked by degree; every other row of
+  /// the full weight is masked to zero. `units` says where the outputs sit
+  /// in the layer.
   struct DegreePanel {
     Matrix weight;
     Matrix bias;
+    std::vector<size_t> reads;
     std::vector<size_t> units;
   };
-  /// [layer][degree] panels; derived from the weights, never serialized.
-  using TrunkPanels = std::vector<std::vector<DegreePanel>>;
+  /// Derived from the weights, never serialized.
+  struct SessionPanels {
+    std::vector<std::vector<DegreePanel>> trunk;  // [layer][degree]
+    std::vector<DegreePanel> heads;               // [column]
+  };
+
+  /// Packs `layer` over input rows `reads` and output columns `units`.
+  static DegreePanel PackPanel(const MaskedLinear& layer,
+                               std::vector<size_t> reads,
+                               std::vector<size_t> units);
 
   /// The panels for the current weights, rebuilt first if stale. Sessions
   /// keep the returned snapshot, so a rebuild never touches one in use.
-  std::shared_ptr<const TrunkPanels> CurrentPanels();
+  std::shared_ptr<const SessionPanels> CurrentPanels();
   /// Marks the panels stale (weights may change: training, Parameters()).
   void InvalidatePanels();
 
@@ -156,15 +179,23 @@ class MadeModel : public ConditionalModel, public TrainableModel {
 
   /// Computes the raw logits block for `col` from the last ForwardTrunk
   /// through `ctx`. The block is written into `block` (batch x
-  /// domains_[col]), which may alias &ctx->block.
+  /// domains_[col]), which may alias &ctx->block. With `packed` (the
+  /// column's session head panel) the head GEMM reads only the rows its
+  /// mask allows; the logits are the same bits.
   void HeadForward(size_t col, EvalContext* ctx, Matrix* block,
-                   KernelKind kernel) const;
+                   KernelKind kernel,
+                   const DegreePanel* packed = nullptr) const;
 
   /// Backpropagates a logits-block gradient through head `col`,
   /// accumulating into dfinal (batch x F). Reads the member context's
   /// forward activations (training is single-threaded by design).
   void HeadBackward(size_t col, const Matrix& dblock, Matrix* dfinal);
 
+  /// True when a unit of degree `out_deg` may read an input of degree
+  /// `in_deg` (heads are strict: they never read their own column).
+  static bool MaskAllows(int in_deg, int out_deg, bool strict) {
+    return strict ? out_deg > in_deg : out_deg >= in_deg;
+  }
   /// Builds the MADE mask between two degree vectors.
   static Matrix BuildMask(const std::vector<int>& in_deg,
                           const std::vector<int>& out_deg, bool strict);
@@ -194,7 +225,7 @@ class MadeModel : public ConditionalModel, public TrainableModel {
 
   // Session weight panels; null = rebuild on the next StartSession.
   Mutex panels_mu_;
-  std::shared_ptr<const TrunkPanels> panels_ NARU_GUARDED_BY(panels_mu_);
+  std::shared_ptr<const SessionPanels> panels_ NARU_GUARDED_BY(panels_mu_);
 
   // Member workspace for the single-threaded paths (training, the
   // stateless ConditionalDist, LogProbRows). Concurrent inference goes

@@ -38,6 +38,8 @@ class MaskedLinear {
   const Matrix& mask() const { return mask_; }
   Parameter& weight() { return w_; }
   Parameter& bias() { return b_; }
+  const Parameter& weight() const { return w_; }
+  const Parameter& bias() const { return b_; }
 
   void CollectParameters(std::vector<Parameter*>* out) {
     out->push_back(&w_);

@@ -150,7 +150,6 @@ struct EstimateRequest {
   /// a request by hand; a non-empty value MUST equal QueryKey(query).
   std::string key;
 
-  EstimateRequest() : query(std::vector<ValueSet>{}) {}
   explicit EstimateRequest(Query q, EstimateOptions opts = {})
       : query(std::move(q)), options(opts) {}
 };

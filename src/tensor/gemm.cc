@@ -1,5 +1,8 @@
 #include "tensor/gemm.h"
 
+#include <algorithm>
+#include <functional>
+
 #include "tensor/gemm_kernels.h"
 #include "util/thread_pool.h"
 
@@ -8,13 +11,56 @@ namespace naru {
 namespace {
 // Minimum rows per task to avoid parallelization overhead on tiny batches.
 constexpr size_t kMinRowsPerTask = 16;
+
+// The reference ikj loop: the inner loop is a vectorizable axpy over B's
+// row.
+template <class ColOf>
+void NNRowsScalar(const Matrix& a, const Matrix& b, Matrix* c, size_t lo,
+                  size_t hi, size_t k, bool onehot, ColOf col) {
+  const size_t n = b.cols();
+  for (size_t i = lo; i < hi; ++i) {
+    const float* arow = a.Row(i);
+    float* crow = c->Row(i);
+    if (onehot) {
+      // Sparse fast path: one-hot input rows are almost all zeros, so
+      // testing A once per k skips whole axpy rows. Exact: the skipped
+      // terms contribute +0.0f. Not worth it for dense activations, where
+      // the branch only impedes vectorization.
+      for (size_t kk = 0; kk < k; ++kk) {
+        const float av = arow[col(kk)];
+        if (av == 0.0f) continue;
+        const float* brow = b.Row(kk);
+        for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+      }
+    } else {
+      for (size_t kk = 0; kk < k; ++kk) {
+        const float av = arow[col(kk)];
+        const float* brow = b.Row(kk);
+        for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void GemmNN(const Matrix& a, const Matrix& b, Matrix* c, bool accumulate,
-            KernelKind kernel, InputHint hint) {
+            KernelKind kernel, InputHint hint,
+            const std::vector<size_t>* a_cols) {
   const size_t m = a.rows();
-  const size_t k = a.cols();
   const size_t n = b.cols();
+  size_t k = a.cols();
+  // A strictly ascending list whose last entry is size() - 1 is exactly
+  // {0, .., size() - 1}: a prefix, read without the index.
+  const size_t* cols = nullptr;
+  if (a_cols != nullptr) {
+    k = a_cols->size();
+    NARU_DCHECK(std::adjacent_find(a_cols->begin(), a_cols->end(),
+                                   std::greater_equal<size_t>()) ==
+                a_cols->end());
+    NARU_CHECK(k == 0 || a_cols->back() < a.cols());
+    if (k > 0 && a_cols->back() + 1 != k) cols = a_cols->data();
+  }
   NARU_CHECK(b.rows() == k);
   if (accumulate) {
     NARU_CHECK(c->rows() == m && c->cols() == n);
@@ -22,46 +68,30 @@ void GemmNN(const Matrix& a, const Matrix& b, Matrix* c, bool accumulate,
     c->Resize(m, n);
     c->Zero();
   }
+  if (k == 0) return;
+  const bool onehot = hint == InputHint::kOneHot;
   if (kernel != KernelKind::kScalar) {
     // Same cols() means same stride (matrix.h), which the row kernels
     // require: they cover the padded width with no remainder handling.
     NARU_CHECK(c->stride() == b.stride());
-    const bool onehot = hint == InputHint::kOneHot;
     ParallelFor(
         0, m,
         [&](size_t lo, size_t hi) {
           gemm_detail::NNRowsSimd(a.data(), a.stride(), b.data(), b.stride(),
-                                  c->data(), c->stride(), lo, hi, k, onehot);
+                                  c->data(), c->stride(), lo, hi, k, onehot,
+                                  cols);
         },
         kMinRowsPerTask);
     return;
   }
-  const bool onehot = hint == InputHint::kOneHot;
   ParallelFor(
       0, m,
       [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) {
-          const float* arow = a.Row(i);
-          float* crow = c->Row(i);
-          // ikj ordering: inner loop is a vectorizable axpy over B's row.
-          if (onehot) {
-            // Sparse fast path: one-hot input rows are almost all zeros,
-            // so testing A once per k skips whole axpy rows. Exact: the
-            // skipped terms contribute +0.0f. Not worth it for dense
-            // activations, where the branch only impedes vectorization.
-            for (size_t kk = 0; kk < k; ++kk) {
-              const float av = arow[kk];
-              if (av == 0.0f) continue;
-              const float* brow = b.Row(kk);
-              for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-            }
-          } else {
-            for (size_t kk = 0; kk < k; ++kk) {
-              const float av = arow[kk];
-              const float* brow = b.Row(kk);
-              for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-            }
-          }
+        if (cols == nullptr) {
+          NNRowsScalar(a, b, c, lo, hi, k, onehot, gemm_detail::DirectCols{});
+        } else {
+          NNRowsScalar(a, b, c, lo, hi, k, onehot,
+                       gemm_detail::IndexedCols{cols});
         }
       },
       kMinRowsPerTask);

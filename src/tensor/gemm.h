@@ -16,6 +16,8 @@
 // thread counts and row splits. Different kernels round differently.
 #pragma once
 
+#include <vector>
+
 #include "tensor/kernel.h"
 #include "tensor/matrix.h"
 
@@ -23,18 +25,30 @@ namespace naru {
 
 /// Shape hint for GemmNN's A operand. kOneHot keeps the zero-skip fast path
 /// (profitable only when most of A is zeros, i.e. the one-hot-encoded input
-/// layer); kDense runs branch-free. The hint never changes results: skipped
-/// terms are exact zero contributions, so both paths are bit-identical for
-/// finite weights.
+/// layer); kDense runs branch-free. The AVX2 kernel ignores kOneHot when C
+/// is at most 32 columns wide, where its 4-row tile is faster at any
+/// density. The hint never changes results: skipped terms are exact zero
+/// contributions, so both paths are bit-identical for finite weights.
 enum class InputHint : uint8_t {
   kDense = 0,
   kOneHot = 1,
 };
 
 /// C(MxN) = A(MxK) * B(KxN) [+ C if accumulate].
+///
+/// With `a_cols`, only the listed columns of A enter the product:
+/// C = A[:, a_cols] * B, where B has one row per entry (B row kk pairs with
+/// A column (*a_cols)[kk]). The list must be strictly ascending. Every
+/// kernel reads A through the index in place, so the result is the one
+/// GemmNN gives on an explicitly gathered copy of those columns, bit for
+/// bit, without paying for the copy. A list that is a prefix {0, .., K'-1}
+/// runs the unindexed kernels with the shorter K', and an empty list skips
+/// the multiply. MADE sessions pass the input rows their masks let a panel
+/// read, dropping the masked (exactly zero) rest of the reduction.
 void GemmNN(const Matrix& a, const Matrix& b, Matrix* c,
             bool accumulate = false, KernelKind kernel = KernelKind::kScalar,
-            InputHint hint = InputHint::kDense);
+            InputHint hint = InputHint::kDense,
+            const std::vector<size_t>* a_cols = nullptr);
 
 /// C(MxN) = A(MxK) * B(NxK)^T [+ C if accumulate].
 void GemmNT(const Matrix& a, const Matrix& b, Matrix* c,

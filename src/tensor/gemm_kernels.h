@@ -21,13 +21,27 @@
 namespace naru {
 namespace gemm_detail {
 
-/// C rows [lo, hi) += A * B. A is (m x k) with leading dim lda; B is
-/// (k x n) with leading dim ldb; C has leading dim ldc. REQUIRES ldb == ldc
-/// (both PaddedStride(n)): the j loop runs over the full padded width with
-/// no remainder handling. `onehot_a` enables the zero-skip on A values.
+/// The A column that reduction step kk reads. NN kernel bodies are
+/// templates over these two maps, so the direct and the indexed run are one
+/// code path: DirectCols reads column kk (all of A, or a prefix of it),
+/// IndexedCols reads cols[kk] from an ascending index list.
+struct DirectCols {
+  size_t operator()(size_t kk) const { return kk; }
+};
+struct IndexedCols {
+  const size_t* cols;
+  size_t operator()(size_t kk) const { return cols[kk]; }
+};
+
+/// C rows [lo, hi) += A[:, cols] * B. A has leading dim lda; B is (k x n)
+/// with leading dim ldb; C has leading dim ldc. REQUIRES ldb == ldc (both
+/// PaddedStride(n)): the j loop runs over the full padded width with no
+/// remainder handling. `cols` lists the k A columns in ascending order;
+/// null reads A columns [0, k). `onehot_a` enables the zero-skip on A
+/// values.
 void NNRowsSimd(const float* a, size_t lda, const float* b, size_t ldb,
                 float* c, size_t ldc, size_t lo, size_t hi, size_t k,
-                bool onehot_a);
+                bool onehot_a, const size_t* cols);
 
 /// C rows [lo, hi) += A * B^T. A is (m x k) with leading dim lda; B is
 /// (n x k) with leading dim ldb; C has leading dim ldc. REQUIRES

@@ -19,6 +19,11 @@
 // element chains), so for a fixed dispatch level results are bit-identical
 // across thread counts and row splits — including between the MR=4 and
 // MR=1 paths, which perform the same lane-wise operation sequence.
+//
+// Indexed A: each NN body is a template over the column map of
+// gemm_kernels.h and broadcasts a[r][col(kk)], so reading A through an
+// ascending index list is the same chain as running on the gathered
+// columns, and the direct instantiation is the unindexed kernel unchanged.
 
 #include "tensor/gemm_kernels.h"
 
@@ -47,16 +52,17 @@ namespace {
 // inner j loop is branch-free over the padded width and autovectorizes.
 constexpr size_t kPortableKc = 256;
 
+template <class ColOf>
 void NNRowsPortable(const float* a, size_t lda, const float* b, size_t ldb,
                     float* c, size_t ldc, size_t lo, size_t hi, size_t k,
-                    bool onehot_a) {
+                    bool onehot_a, ColOf col) {
   for (size_t k0 = 0; k0 < k; k0 += kPortableKc) {
     const size_t k1 = k0 + kPortableKc < k ? k0 + kPortableKc : k;
     for (size_t i = lo; i < hi; ++i) {
       const float* arow = a + i * lda;
       float* crow = c + i * ldc;
       for (size_t kk = k0; kk < k1; ++kk) {
-        const float av = arow[kk];
+        const float av = arow[col(kk)];
         if (onehot_a && av == 0.0f) continue;
         const float* brow = b + kk * ldb;
         for (size_t j = 0; j < ldc; ++j) crow[j] += av * brow[j];
@@ -85,9 +91,17 @@ void NTRowsPortable(const float* a, size_t lda, const float* b, size_t ldb,
 // ---------------------------------------------------------------------------
 #if defined(NARU_HAVE_X86)
 
+template <class ColOf>
 __attribute__((target("avx2,fma"))) void NNRowsAvx2(
     const float* a, size_t lda, const float* b, size_t ldb, float* c,
-    size_t ldc, size_t lo, size_t hi, size_t k, bool onehot_a) {
+    size_t ldc, size_t lo, size_t hi, size_t k, bool onehot_a, ColOf col) {
+  // The one-hot path below runs one row at a time and loads and stores C
+  // once per nonzero. On narrow C (MADE's per-degree session panels) the
+  // 4-row tile wins at every density: 1000 rows x k = 231, the one-hot path
+  // took 3.0x (1% nonzeros) to 15.7x (50%) the tile's time at n = 16 and
+  // 1.5x to 8.7x at n = 32. It pays only on wide C at low density (0.42x
+  // at n = 128, 1%). Both paths give the same bits (gemm.h InputHint).
+  if (ldc <= 32) onehot_a = false;
   size_t i = lo;
   if (!onehot_a) {
     // Dense: 4 C rows x 16 columns per register tile; B rows are loaded
@@ -111,19 +125,20 @@ __attribute__((target("avx2,fma"))) void NNRowsAvx2(
         __m256 s30 = _mm256_loadu_ps(c3 + j);
         __m256 s31 = _mm256_loadu_ps(c3 + j + 8);
         for (size_t kk = 0; kk < k; ++kk) {
+          const size_t ka = col(kk);
           const float* brow = b + kk * ldb + j;
           const __m256 b0 = _mm256_loadu_ps(brow);
           const __m256 b1 = _mm256_loadu_ps(brow + 8);
-          const __m256 v0 = _mm256_set1_ps(a0[kk]);
+          const __m256 v0 = _mm256_set1_ps(a0[ka]);
           s00 = _mm256_fmadd_ps(v0, b0, s00);
           s01 = _mm256_fmadd_ps(v0, b1, s01);
-          const __m256 v1 = _mm256_set1_ps(a1[kk]);
+          const __m256 v1 = _mm256_set1_ps(a1[ka]);
           s10 = _mm256_fmadd_ps(v1, b0, s10);
           s11 = _mm256_fmadd_ps(v1, b1, s11);
-          const __m256 v2 = _mm256_set1_ps(a2[kk]);
+          const __m256 v2 = _mm256_set1_ps(a2[ka]);
           s20 = _mm256_fmadd_ps(v2, b0, s20);
           s21 = _mm256_fmadd_ps(v2, b1, s21);
-          const __m256 v3 = _mm256_set1_ps(a3[kk]);
+          const __m256 v3 = _mm256_set1_ps(a3[ka]);
           s30 = _mm256_fmadd_ps(v3, b0, s30);
           s31 = _mm256_fmadd_ps(v3, b1, s31);
         }
@@ -143,7 +158,7 @@ __attribute__((target("avx2,fma"))) void NNRowsAvx2(
     const float* arow = a + i * lda;
     float* crow = c + i * ldc;
     for (size_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
+      const float av = arow[col(kk)];
       if (onehot_a && av == 0.0f) continue;
       const __m256 v = _mm256_set1_ps(av);
       const float* brow = b + kk * ldb;
@@ -213,14 +228,15 @@ __attribute__((target("avx2,fma"))) void NTRowsAvx2(
 // ---------------------------------------------------------------------------
 #if defined(NARU_HAVE_NEON)
 
+template <class ColOf>
 void NNRowsNeon(const float* a, size_t lda, const float* b, size_t ldb,
                 float* c, size_t ldc, size_t lo, size_t hi, size_t k,
-                bool onehot_a) {
+                bool onehot_a, ColOf col) {
   for (size_t i = lo; i < hi; ++i) {
     const float* arow = a + i * lda;
     float* crow = c + i * ldc;
     for (size_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
+      const float av = arow[col(kk)];
       if (onehot_a && av == 0.0f) continue;
       const float32x4_t v = vdupq_n_f32(av);
       const float* brow = b + kk * ldb;
@@ -262,23 +278,39 @@ void NTRowsNeon(const float* a, size_t lda, const float* b, size_t ldb,
 // Dispatch.
 // ---------------------------------------------------------------------------
 
-void NNRowsSimd(const float* a, size_t lda, const float* b, size_t ldb,
-                float* c, size_t ldc, size_t lo, size_t hi, size_t k,
-                bool onehot_a) {
+namespace {
+
+template <class ColOf>
+void NNRowsDispatch(const float* a, size_t lda, const float* b, size_t ldb,
+                    float* c, size_t ldc, size_t lo, size_t hi, size_t k,
+                    bool onehot_a, ColOf col) {
   switch (DetectedSimdLevel()) {
 #if defined(NARU_HAVE_X86)
     case SimdLevel::kAvx2:
-      NNRowsAvx2(a, lda, b, ldb, c, ldc, lo, hi, k, onehot_a);
+      NNRowsAvx2(a, lda, b, ldb, c, ldc, lo, hi, k, onehot_a, col);
       return;
 #endif
 #if defined(NARU_HAVE_NEON)
     case SimdLevel::kNeon:
-      NNRowsNeon(a, lda, b, ldb, c, ldc, lo, hi, k, onehot_a);
+      NNRowsNeon(a, lda, b, ldb, c, ldc, lo, hi, k, onehot_a, col);
       return;
 #endif
     default:
-      NNRowsPortable(a, lda, b, ldb, c, ldc, lo, hi, k, onehot_a);
+      NNRowsPortable(a, lda, b, ldb, c, ldc, lo, hi, k, onehot_a, col);
       return;
+  }
+}
+
+}  // namespace
+
+void NNRowsSimd(const float* a, size_t lda, const float* b, size_t ldb,
+                float* c, size_t ldc, size_t lo, size_t hi, size_t k,
+                bool onehot_a, const size_t* cols) {
+  if (cols == nullptr) {
+    NNRowsDispatch(a, lda, b, ldb, c, ldc, lo, hi, k, onehot_a, DirectCols{});
+  } else {
+    NNRowsDispatch(a, lda, b, ldb, c, ldc, lo, hi, k, onehot_a,
+                   IndexedCols{cols});
   }
 }
 

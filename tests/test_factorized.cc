@@ -209,16 +209,14 @@ TEST(FactorizedModel, GeneratorsEmitValidTableRows) {
   IntMatrix tuples;
   gen.DrawUnconditional(3000, &tuples);
   ASSERT_EQ(tuples.cols(), 2u);
-  size_t invalid = 0;
   for (size_t r = 0; r < tuples.rows(); ++r) {
     EXPECT_GE(tuples.At(r, 0), 0);
     EXPECT_LT(tuples.At(r, 0), 5);
     EXPECT_GE(tuples.At(r, 1), 0);
-    // Unconditional draws CAN produce invalid re-joined codes on an
-    // untrained model (documented caveat); count them.
-    invalid += tuples.At(r, 1) >= 300;
+    // 300 splits into 10 high blocks of 32 low codes; the last holds only
+    // 12, so the unconditional walk must mask the low tail under it.
+    EXPECT_LT(tuples.At(r, 1), 300) << "row " << r;
   }
-  EXPECT_LT(invalid, tuples.rows() / 2);
 
   // Conditional draws respect the region (the masks exclude invalid codes).
   Query q({ValueSet::Interval(5, 1, 3), ValueSet::Interval(300, 50, 250)});

@@ -8,6 +8,9 @@
 //     full-batch rows exactly, including across the MR=4/MR=1 seam.
 //   - The one-hot InputHint is exact: hinted and dense runs are bitwise
 //     identical per kernel.
+//   - Indexed A columns: GemmNN over an ascending column list equals GemmNN
+//     on the gathered columns bitwise per kernel, and equals the full GEMM
+//     when the other B rows are zero.
 //   - Kernel names: every KernelKindName parses back (case-insensitively)
 //     and retired or unknown names are rejected.
 //   - Matrix storage: 64-byte row alignment, padded stride, the
@@ -248,6 +251,99 @@ TEST(GemmDeterminism, OneHotHintIsExact) {
     GemmNN(a, b, &dense, false, kernel, InputHint::kDense);
     GemmNN(a, b, &hinted, false, kernel, InputHint::kOneHot);
     ExpectBitIdentical(dense, hinted);
+  }
+}
+
+// A[:, cols] as its own matrix: the copy the indexed kernels avoid.
+Matrix GatherColumns(const Matrix& a, const std::vector<size_t>& cols) {
+  Matrix out(a.rows(), cols.size());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t kk = 0; kk < cols.size(); ++kk) {
+      out.At(i, kk) = a.At(i, cols[kk]);
+    }
+  }
+  return out;
+}
+
+// Indexed A columns are the gathered GEMM, bit for bit: every kernel body
+// reads a[r][cols[kk]] on the same ascending chain. Row counts 1, 3, 5 and
+// 13 cross the MR=4/MR=1 seam; the lists cover empty, identity (the prefix
+// fast path), a shorter prefix, MADE's cyclic degree pattern and a sparse
+// pick; both A shapes run under both hints, plain and accumulating.
+void CheckIndexedMatchesGathered(KernelKind kernel, const std::string& label) {
+  Rng rng(29);
+  const size_t k = 40;
+  std::vector<std::vector<size_t>> lists(5);
+  for (size_t i = 0; i < k; ++i) lists[1].push_back(i);
+  for (size_t i = 0; i < 13; ++i) lists[2].push_back(i);
+  for (size_t i = 0; i < k; ++i) {
+    if (i % 10 <= 3) lists[3].push_back(i);
+  }
+  lists[4] = {1, 7, 8, 30, 39};
+  for (const size_t rows : {1ul, 3ul, 5ul, 13ul}) {
+    const Matrix dense_a = RandomMatrix(rows, k, &rng);
+    const Matrix onehot_a = OneHotishMatrix(rows, k, &rng);
+    for (const size_t n : {1ul, 13ul, 16ul, 17ul, 63ul}) {
+      for (size_t li = 0; li < lists.size(); ++li) {
+        const std::vector<size_t>& cols = lists[li];
+        const Matrix b = RandomMatrix(cols.size(), n, &rng);
+        const Matrix c0 = RandomMatrix(rows, n, &rng);
+        for (const Matrix* a : {&dense_a, &onehot_a}) {
+          const Matrix gathered = GatherColumns(*a, cols);
+          for (const InputHint hint : {InputHint::kDense, InputHint::kOneHot}) {
+            SCOPED_TRACE(label + " rows " + std::to_string(rows) + " n " +
+                         std::to_string(n) + " list " + std::to_string(li) +
+                         (a == &onehot_a ? " onehot A" : " dense A") +
+                         (hint == InputHint::kOneHot ? " onehot hint" : ""));
+            Matrix want, got;
+            GemmNN(gathered, b, &want, false, kernel, hint);
+            GemmNN(*a, b, &got, false, kernel, hint, &cols);
+            ExpectBitIdentical(want, got);
+            want = c0;
+            got = c0;
+            GemmNN(gathered, b, &want, true, kernel, hint);
+            GemmNN(*a, b, &got, true, kernel, hint, &cols);
+            ExpectBitIdentical(want, got);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmIndexed, ScalarMatchesGathered) {
+  CheckIndexedMatchesGathered(KernelKind::kScalar, "scalar");
+}
+
+TEST(GemmIndexed, SimdMatchesGathered) {
+  CheckIndexedMatchesGathered(KernelKind::kSimd, "simd");
+}
+
+TEST(GemmIndexed, PortableMatchesGathered) {
+  ScopedSimdLevel force(SimdLevel::kNone);
+  CheckIndexedMatchesGathered(KernelKind::kSimd, "portable");
+}
+
+// The MADE use: B rows outside the list are masked to zero, so the full
+// GEMM only adds exact zeros on top of the indexed one.
+TEST(GemmIndexed, MatchesFullGemmOverMaskedRows) {
+  Rng rng(31);
+  const size_t m = 13, k = 50, n = 17;
+  const Matrix a = RandomMatrix(m, k, &rng);
+  std::vector<size_t> cols;
+  for (size_t i = 0; i < k; ++i) {
+    if (i % 10 <= 6) cols.push_back(i);
+  }
+  const Matrix packed = RandomMatrix(cols.size(), n, &rng);
+  Matrix masked(k, n);
+  for (size_t kk = 0; kk < cols.size(); ++kk) {
+    std::memcpy(masked.Row(cols[kk]), packed.Row(kk), n * sizeof(float));
+  }
+  for (const KernelKind kernel : {KernelKind::kScalar, KernelKind::kSimd}) {
+    Matrix full, indexed;
+    GemmNN(a, masked, &full, false, kernel);
+    GemmNN(a, packed, &indexed, false, kernel, InputHint::kDense, &cols);
+    ExpectBitIdentical(full, indexed);
   }
 }
 

@@ -481,17 +481,18 @@ void ExpectSameBits(const Matrix& got, const Matrix& want,
 // recompute bit for bit. Codes of columns >= col are random garbage, which
 // both paths must ignore.
 void ExpectSessionMatchesRecompute(MadeModel* model, uint64_t seed,
-                                   const std::string& label) {
+                                   const std::string& label,
+                                   size_t rows = 12) {
   const size_t n = model->num_columns();
   std::vector<size_t> domains;
   for (size_t c = 0; c < n; ++c) domains.push_back(model->DomainSize(c));
   Rng rng(seed);
-  auto session = model->StartSession(12);
+  auto session = model->StartSession(rows);
   MadeModel::EvalContext ref_ctx;
   Matrix got, want;
   size_t step = 0;
   for (int walk = 0; walk < 2; ++walk) {
-    IntMatrix samples = RandomCodes(domains, 12, &rng);
+    IntMatrix samples = RandomCodes(domains, rows, &rng);
     for (size_t col = 0; col < n; ++col) {
       const std::string where = label + " walk " + std::to_string(walk) +
                                 " col " + std::to_string(col);
@@ -513,6 +514,7 @@ struct SessionCase {
   std::string name;
   std::vector<size_t> domains;
   MadeModel::Config cfg;
+  size_t rows = 12;  // walk width
 };
 
 std::vector<SessionCase> SessionCases() {
@@ -525,6 +527,13 @@ std::vector<SessionCase> SessionCases() {
   dmv.encoder.embed_dim = 8;
   dmv.seed = 3;
   cases.push_back({"dmv", {3, 40, 5, 7, 60, 4, 2, 9}, dmv});
+  // 13 rows: the first steps already run the MR=1 remainder rows.
+  cases.push_back({"dmv_13_rows", {3, 40, 5, 7, 60, 4, 2, 9}, dmv, 13});
+  // Unequal widths: every layer's panels read a different index list.
+  MadeModel::Config uneven = dmv;
+  uneven.hidden_sizes = {48, 24, 40};
+  uneven.seed = 4;
+  cases.push_back({"unequal_widths", {3, 40, 5, 7, 60, 4, 2, 9}, uneven});
   MadeModel::Config res = SmallConfig(5);
   res.hidden_sizes = {24, 24, 24};
   res.residual = true;
@@ -549,11 +558,12 @@ TEST(MadeSession, BitIdenticalToFullRecompute) {
     for (const KernelKind kernel : {KernelKind::kScalar, KernelKind::kSimd}) {
       model.SetInferenceKernel(kernel);
       ExpectSessionMatchesRecompute(
-          &model, ++seed, sc.name + " " + KernelKindName(kernel));
+          &model, ++seed, sc.name + " " + KernelKindName(kernel), sc.rows);
     }
     {
       ScopedSimdLevel portable(SimdLevel::kNone);
-      ExpectSessionMatchesRecompute(&model, ++seed, sc.name + " portable");
+      ExpectSessionMatchesRecompute(&model, ++seed, sc.name + " portable",
+                                    sc.rows);
     }
   }
 }

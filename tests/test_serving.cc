@@ -10,6 +10,7 @@
 #include <cmath>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -29,6 +30,10 @@
 
 namespace naru {
 namespace {
+
+// A request always carries a query: a default-constructed one would need a
+// Query over no columns, which Query rejects.
+static_assert(!std::is_default_constructible_v<EstimateRequest>);
 
 Table SmallTable(uint64_t seed) {
   return MakeRandomTable(600, {7, 5, 9, 4, 6}, seed, /*skew=*/1.0);
